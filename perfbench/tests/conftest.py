@@ -1,0 +1,8 @@
+"""Import path for the benchmark's own modules and the program under ``src``."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent))
+sys.path.insert(0, str(HERE.parent.parent / "src"))
