@@ -42,13 +42,13 @@ which is what locks the ``ServerSim`` refactor against regressions.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import ConfigError
-from ..mem.hierarchy import get_default_engine
 from ..obs import hooks as obs_hooks
 from ..obs.fleet import FleetTrace
 from ..obs.metrics import Histogram
@@ -140,7 +140,12 @@ class ClusterConfig:
     ``local_fault_plan`` / ``local_policy`` / ``controller_factory``
     configure the per-node resilient loop; core-level fault plans are
     only accepted on the 1-node delegation path (a multi-node cluster's
-    failure domain is the node).
+    failure domain is the node).  ``engine`` likewise only applies on the
+    1-node delegation path, where it selects the ``ServerSim`` engine;
+    the multi-node loop has a single implementation.
+
+    Every time and rate must be finite: a NaN or infinite value is
+    rejected here rather than surfacing as a NaN percentile.
     """
 
     num_nodes: int = 4
@@ -175,8 +180,12 @@ class ClusterConfig:
             raise ConfigError("need at least one node")
         if self.cores_per_node <= 0:
             raise ConfigError("need at least one core per node")
-        if self.mean_service_ms <= 0:
-            raise ConfigError("mean service time must be positive")
+        if not (math.isfinite(self.mean_service_ms) and self.mean_service_ms > 0):
+            raise ConfigError("mean service time must be positive and finite")
+        if not (math.isfinite(self.service_cv) and self.service_cv >= 0):
+            raise ConfigError(
+                "service-time CV must be non-negative and finite"
+            )
         if self.num_shards <= 0:
             raise ConfigError("need at least one shard")
         if not 1 <= self.replication <= self.num_nodes:
@@ -185,12 +194,14 @@ class ClusterConfig:
             )
         if not 1 <= self.gather_width <= self.num_shards:
             raise ConfigError("gather width must be in [1, num_shards]")
-        if self.hop_ms < 0:
-            raise ConfigError("hop latency must be non-negative")
-        if self.call_timeout_ms <= 0:
-            raise ConfigError("call timeout must be positive")
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
-            raise ConfigError("deadline must be positive")
+        if not (math.isfinite(self.hop_ms) and self.hop_ms >= 0):
+            raise ConfigError("hop latency must be non-negative and finite")
+        if not (math.isfinite(self.call_timeout_ms) and self.call_timeout_ms > 0):
+            raise ConfigError("call timeout must be positive and finite")
+        if self.deadline_ms is not None and not (
+            math.isfinite(self.deadline_ms) and self.deadline_ms > 0
+        ):
+            raise ConfigError("deadline must be positive and finite")
         if self.max_outstanding is not None and self.max_outstanding <= 0:
             raise ConfigError("outstanding bound must be positive")
         if self.placement not in PLACEMENTS:
@@ -202,10 +213,10 @@ class ClusterConfig:
                 f"unknown routing policy {self.routing!r}; "
                 f"known: {ROUTING_POLICIES}"
             )
-        if self.hotness_alpha <= 0:
-            raise ConfigError("hotness alpha must be positive")
-        if self.miss_penalty < 0:
-            raise ConfigError("miss penalty must be non-negative")
+        if not (math.isfinite(self.hotness_alpha) and self.hotness_alpha > 0):
+            raise ConfigError("hotness alpha must be positive and finite")
+        if not (math.isfinite(self.miss_penalty) and self.miss_penalty >= 0):
+            raise ConfigError("miss penalty must be non-negative and finite")
         if self.cache_scores is not None:
             if len(self.cache_scores) != self.num_nodes:
                 raise ConfigError("need one cache score per node")
@@ -246,6 +257,17 @@ class ShardMap:
         self.hotness = weights / weights.sum()
         self.cache_scores = config.node_cache_scores()
         self.replicas: List[List[int]] = self._place()
+        hottest = self.hotness.max()
+        #: ``multipliers[shard][node]``: see :meth:`call_multiplier`.
+        self.multipliers: List[List[float]] = [
+            [
+                1.0 + config.miss_penalty
+                * float(self.hotness[shard] / hottest)
+                * (1.0 - float(self.cache_scores[node]))
+                for node in range(config.num_nodes)
+            ]
+            for shard in range(config.num_shards)
+        ]
 
     def _place(self) -> List[List[int]]:
         cfg = self.config
@@ -282,10 +304,7 @@ class ShardMap:
         * (1 - cache_score)`` (relative hotness normalized so the hottest
         shard has weight 1).
         """
-        rel = float(self.hotness[shard] / self.hotness.max())
-        return 1.0 + self.config.miss_penalty * rel * (
-            1.0 - float(self.cache_scores[node])
-        )
+        return self.multipliers[shard][node]
 
     def gather_shards(self, num_requests: int) -> np.ndarray:
         """Per-request gather sets: ``(n, gather_width)`` distinct shards.
@@ -386,12 +405,18 @@ class _NodeWorld:
                 done, latency = heapq.heappop(self._pending)
                 self.controller.observe(done, latency)
         scale = self.controller.scale() if self.controller is not None else 1.0
-        free_at, core = heapq.heappop(self.cores)
+        free_at, core = self.cores[0]
         start = max(t_work, free_at)
-        slow = plan.slow_factor(self.node, start) if plan is not None else 1.0
+        slow = (
+            plan.slow_factor(self.node, start)
+            if plan is not None and plan.slowdowns
+            else 1.0
+        )
         service = self._draw() * multiplier * slow * scale
         completion = start + service
-        heapq.heappush(self.cores, (completion, core))
+        # Core ids are unique, so replacing the root pops in the same
+        # order as a pop followed by a push.
+        heapq.heapreplace(self.cores, (completion, core))
         self.calls += 1
         self.busy_ms += service
         if self.controller is not None:
@@ -646,6 +671,8 @@ class ClusterSim:
         """
         if arrivals_ms.ndim != 1 or arrivals_ms.size == 0:
             raise ConfigError("need a non-empty 1-D arrival array")
+        if not np.all(np.isfinite(arrivals_ms)):
+            raise ConfigError("arrival times must be finite")
         if np.any(np.diff(arrivals_ms) < 0):
             raise ConfigError("arrival times must be non-decreasing")
         cfg = self.config
@@ -655,12 +682,6 @@ class ClusterSim:
                     np.random.SeedSequence([cfg.seed, _STREAM_NODE_SERVICE, 0])
                 )
             return self._run_local(arrivals_ms, rng)
-        engine = cfg.engine if cfg.engine is not None else get_default_engine()
-        if engine not in ("fast", "reference"):
-            raise ConfigError(
-                f"unknown serving engine {engine!r}; "
-                "expected 'fast' or 'reference'"
-            )
         return self._run_cluster(arrivals_ms)
 
     def _run_cluster(self, arrivals_ms: np.ndarray) -> ClusterResult:
@@ -669,6 +690,7 @@ class ClusterSim:
         n = int(arrivals_ms.size)
         shards_of = self.shard_map.gather_shards(n)
         replicas = self.shard_map.replicas
+        multipliers = self.shard_map.multipliers
         nodes = [_NodeWorld(i, cfg) for i in range(cfg.num_nodes)]
         health = HealthTracker(cfg.num_nodes, cfg.health)
         # Least-loaded routing sees only what a real front end sees: the
@@ -759,8 +781,12 @@ class ClusterSim:
         ):
             for start, end in windows:
                 push(start, _EV_CRASH, (node, end))
-        for i in range(n):
-            push(float(arrivals_ms[i]), _EV_ARRIVE, i)
+        # Arrivals are not pushed: the main loop merges them in from a
+        # cursor over this list.  They keep the sequence numbers they
+        # would have had on the heap.
+        arrival_times = arrivals_ms.astype(float, copy=False).tolist()
+        next_arrival = 0
+        seq += n
 
         def hedge_delay() -> Optional[float]:
             if cfg.hedge is None or window is None:
@@ -804,8 +830,7 @@ class ClusterSim:
                 push(now + cfg.call_timeout_ms, _EV_TIMEOUT, aid)
                 return
             core, start, completion, slow = nodes[node].submit(
-                now + cfg.hop_ms, self.shard_map.call_multiplier(slot.shard, node),
-                plan,
+                now + cfg.hop_ms, multipliers[slot.shard][node], plan
             )
             att.core = core
             att.start = start
@@ -939,8 +964,25 @@ class ClusterSim:
                 )
 
         # -- main loop -----------------------------------------------------
-        while events:
-            now, kind, _, payload = heapq.heappop(events)
+        while True:
+            # The next arrival goes first iff (t, _EV_ARRIVE) sorts before
+            # the heap head's (t, kind): the order a pushed arrival had.
+            if next_arrival < n and (
+                not events
+                or arrival_times[next_arrival] < events[0][0]
+                or (
+                    arrival_times[next_arrival] == events[0][0]
+                    and events[0][1] > _EV_ARRIVE
+                )
+            ):
+                now = arrival_times[next_arrival]
+                kind = _EV_ARRIVE
+                payload = next_arrival
+                next_arrival += 1
+            elif events:
+                now, kind, _, payload = heapq.heappop(events)
+            else:
+                break
             if kind == _EV_CRASH:
                 node, until = payload
                 killed = list(outstanding_on[node].items())

@@ -25,6 +25,7 @@ no randomness — so identical latency streams produce identical ladders.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, List, Mapping, Optional, Sequence, Tuple
@@ -164,6 +165,8 @@ class DegradationController:
         self.level = 0
         self.events: List[LevelChange] = []
         self._latencies: Deque[float] = deque(maxlen=self.window)
+        # The same values kept sorted, updated on every observation.
+        self._sorted: List[float] = []
         self._since_change = 0
 
     @property
@@ -182,12 +185,12 @@ class DegradationController:
         percentile (same virtual index, same two-branch lerp): the window
         holds at most a few dozen floats and this runs once per completed
         request, where ``np.percentile``'s per-call setup dominated the
-        whole resilient serving loop.
+        whole resilient serving loop.  The window is kept sorted as it
+        slides, so no call sorts it.
         """
-        lat = self._latencies
-        if not lat:
+        xs = self._sorted
+        if not xs:
             return 0.0
-        xs = sorted(lat)
         n = len(xs)
         virtual = 0.95 * (n - 1)
         prev = int(virtual)
@@ -202,7 +205,11 @@ class DegradationController:
 
     def observe(self, now_ms: float, latency_ms: float) -> Optional[LevelChange]:
         """Feed one completed-request latency; maybe change level."""
-        self._latencies.append(float(latency_ms))
+        value = float(latency_ms)
+        if len(self._latencies) == self.window:
+            del self._sorted[bisect_left(self._sorted, self._latencies[0])]
+        self._latencies.append(value)
+        insort(self._sorted, value)
         self._since_change += 1
         if len(self._latencies) < self.min_samples:
             return None
@@ -231,5 +238,6 @@ class DegradationController:
         self.level = to_level
         # Judge the new level on its own measurements.
         self._latencies.clear()
+        self._sorted.clear()
         self._since_change = 0
         return event

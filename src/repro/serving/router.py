@@ -26,6 +26,8 @@ windows evolve purely from the (deterministic) event stream.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
@@ -81,8 +83,8 @@ class HedgePolicy:
     def __post_init__(self) -> None:
         if not 0.0 < self.quantile <= 100.0:
             raise ConfigError("hedge quantile must be in (0, 100]")
-        if self.min_ms <= 0:
-            raise ConfigError("hedge floor must be positive")
+        if not (math.isfinite(self.min_ms) and self.min_ms > 0):
+            raise ConfigError("hedge floor must be positive and finite")
         if self.window <= 0:
             raise ConfigError("hedge latency window must be positive")
         if self.max_hedges <= 0:
@@ -95,7 +97,10 @@ class LatencyWindow:
     Pure python and order-deterministic: the threshold depends only on
     the sequence of observed latencies, which the deterministic event
     loop fixes.  Uses the same linear-interpolation percentile definition
-    as numpy's default so thresholds match offline analysis.
+    as numpy's default so thresholds match offline analysis.  A sorted
+    copy of the ring is kept up to date on every observation (insert the
+    new value, delete the evicted one), so a quantile is a lookup rather
+    than a sort of the whole window.
     """
 
     def __init__(self, size: int) -> None:
@@ -103,6 +108,7 @@ class LatencyWindow:
             raise ConfigError("latency window size must be positive")
         self._size = size
         self._buf: List[float] = []
+        self._sorted: List[float] = []
         self._next = 0
 
     def observe(self, latency_ms: float) -> None:
@@ -110,14 +116,17 @@ class LatencyWindow:
         if len(self._buf) < self._size:
             self._buf.append(latency_ms)
         else:  # ring overwrite, oldest first
+            evicted = self._buf[self._next]
+            del self._sorted[bisect_left(self._sorted, evicted)]
             self._buf[self._next] = latency_ms
             self._next = (self._next + 1) % self._size
+        insort(self._sorted, latency_ms)
 
     def quantile(self, q: float) -> Optional[float]:
         """The q-th percentile of the window, or None while empty."""
-        if not self._buf:
+        data = self._sorted
+        if not data:
             return None
-        data = sorted(self._buf)
         rank = (len(data) - 1) * (q / 100.0)
         lo = int(rank)
         hi = min(lo + 1, len(data) - 1)
@@ -220,10 +229,13 @@ class Router:
         routable replica remains.  ``ctx`` is passed through verbatim to
         ``on_decision`` so callers can attribute the decision to a span.
         """
-        eligible = [
-            n for n in replicas
-            if n not in tried and not self.health.is_ejected(n)
-        ]
+        if not tried and not self.health._ejected:
+            eligible = replicas  # nothing to filter out
+        else:
+            eligible = [
+                n for n in replicas
+                if n not in tried and not self.health.is_ejected(n)
+            ]
         chosen: Optional[int] = None
         if eligible:
             if self.policy == "round_robin":

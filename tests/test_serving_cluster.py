@@ -317,3 +317,55 @@ class TestClusterConfigValidation:
             sim.run(np.empty(0))
         with pytest.raises(ConfigError):
             sim.run(np.array([3.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("num_nodes", [1, 4])
+    def test_non_finite_arrivals_rejected(self, bad, num_nodes):
+        sim = ClusterSim(
+            ClusterConfig(num_nodes=num_nodes, replication=1)
+        )
+        with pytest.raises(ConfigError, match="finite"):
+            sim.run(np.array([0.0, 1.0, bad]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_mean_service_rejected(self, value):
+        with pytest.raises(ConfigError):
+            ClusterConfig(mean_service_ms=value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_bad_service_cv_rejected(self, value):
+        with pytest.raises(ConfigError):
+            ClusterConfig(service_cv=value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_hop_rejected(self, value):
+        with pytest.raises(ConfigError):
+            ClusterConfig(hop_ms=value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_call_timeout_rejected(self, value):
+        with pytest.raises(ConfigError):
+            ClusterConfig(call_timeout_ms=value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_deadline_rejected(self, value):
+        with pytest.raises(ConfigError):
+            ClusterConfig(deadline_ms=value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_hotness_alpha_rejected(self, value):
+        with pytest.raises(ConfigError):
+            ClusterConfig(hotness_alpha=value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_miss_penalty_rejected(self, value):
+        with pytest.raises(ConfigError):
+            ClusterConfig(miss_penalty=value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_hedge_floor_rejected(self, value):
+        with pytest.raises(ConfigError):
+            HedgePolicy(min_ms=value)
+
+    def test_service_cv_zero_accepted(self):
+        assert ClusterConfig(service_cv=0.0).service_cv == 0.0

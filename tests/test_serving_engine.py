@@ -218,8 +218,10 @@ class TestWindowP95:
                 [DegradationLevel("baseline", 1.0)],
                 sla_ms=10.0, window=256, min_samples=1,
             )
+            # One rung: the level never changes, so nothing clears the
+            # window and every value stays in it.
             for value in window:
-                controller._latencies.append(float(value))
+                assert controller.observe(0.0, float(value)) is None
             got = controller.window_p95()
-            want = float(np.percentile(np.array(controller._latencies), 95.0))
+            want = float(np.percentile(window, 95.0))
             assert got == want, f"n={n}: {got!r} != {want!r}"
