@@ -13,20 +13,23 @@ integrated   sw_pf + mp_ht with their synergy (Section 4.4)
 
 :func:`evaluate_scheme` runs one design point for one (model, trace,
 platform, core-count) combination and returns a :class:`SchemeResult`;
-:func:`evaluate_all_schemes` produces the full Fig 12/13/14 panel.
+:func:`evaluate_all_schemes` produces the full Fig 12/13/14 panel.  MP-HT
+and Integrated leave the embedding stage's memory behaviour as it is under
+baseline and SW-PF respectively, so a panel simulates each distinct stage
+once and composes every scheme from that shared measurement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Optional, Tuple
 
 from ..cpu.platform import CPUSpec
 from ..cpu.smt import SMTModel
-from ..engine.embedding_exec import run_embedding_trace
-from ..engine.inference import InferenceTiming, StageTimes, time_inference_sequential
+from ..engine.embedding_exec import PrefetchPlan, run_embedding_trace
+from ..engine.inference import StageTimes, time_inference_sequential
 from ..engine.multicore import run_embedding_multicore
-from ..errors import UnknownSchemeError
+from ..errors import ConfigError, UnknownSchemeError
 from ..mem.hierarchy import build_hierarchy
 from ..model.configs import ModelConfig
 from ..trace.dataset import EmbeddingTrace
@@ -57,6 +60,13 @@ SCHEME_NAMES: Tuple[str, ...] = (
 #: ("hardware prefetching is useful in the compute-intensive stages as they
 #: bring regular access patterns", Section 6.2.1).
 HW_PF_OFF_DENSE_SLOWDOWN = 1.4
+
+#: Batch-cycle composers of the schemes that use the sibling SMT thread.
+_SMT_BATCH_CYCLES = {
+    "dp_ht": dp_ht_batch_cycles,
+    "mp_ht": mp_ht_batch_cycles,
+    "integrated": integrated_batch_cycles,
+}
 
 
 @dataclass(frozen=True)
@@ -94,7 +104,7 @@ class SchemeResult:
         return baseline.embedding_cycles / self.embedding_cycles
 
 
-@dataclass
+@dataclass(frozen=True)
 class _EmbStage:
     """Embedding-stage metrics in the shape the inference composer wants."""
 
@@ -103,17 +113,23 @@ class _EmbStage:
     stall_fraction: float
 
 
+#: What sets a scheme's embedding stage apart on a shared workload:
+#: hardware prefetch on/off, the software prefetch plan, halved caches.
+_StageKey = Tuple[bool, Optional[PrefetchPlan], bool]
+#: One measured stage: (stage metrics, L1 hit rate, average load latency).
+_Stage = Tuple[_EmbStage, float, float]
+
+
 def _run_embedding(
-    model: ModelConfig,
     trace: EmbeddingTrace,
     amap: AddressMap,
     platform: CPUSpec,
     num_cores: int,
     hw_prefetch: bool,
-    plan,
+    plan: Optional[PrefetchPlan],
     halved_caches: bool,
     detailed_cores: int,
-) -> "tuple[_EmbStage, float, float]":
+) -> _Stage:
     """Run the embedding stage; return (stage metrics, l1 hit, latency)."""
     hier_config = platform.hierarchy
     if halved_caches:
@@ -121,26 +137,29 @@ def _run_embedding(
     if num_cores <= 1:
         hierarchy = build_hierarchy(hier_config, hw_prefetch=hw_prefetch)
         result = run_embedding_trace(trace, amap, platform.core, hierarchy, plan=plan)
-        stage = _EmbStage(
-            result.mean_batch_cycles,
-            result.utilization,
-            min(1.0, result.stall_fraction),
+        utilization, stall = result.utilization, result.stall_fraction
+    else:
+        result = run_embedding_multicore(
+            trace, amap, platform, num_cores, plan=plan,
+            detailed_cores=detailed_cores, hw_prefetch=hw_prefetch,
+            hier_override=hier_config if halved_caches else None,
         )
-        return stage, result.l1_hit_rate, result.avg_load_latency
-    mc = run_embedding_multicore(
-        trace,
-        amap,
-        platform,
-        num_cores,
-        plan=plan,
-        detailed_cores=detailed_cores,
-        hw_prefetch=hw_prefetch,
-        hier_override=hier_config if halved_caches else None,
-    )
-    stage = _EmbStage(
-        mc.mean_batch_cycles, mc.emb_utilization, min(1.0, mc.emb_stall_fraction)
-    )
-    return stage, mc.l1_hit_rate, mc.avg_load_latency
+        utilization, stall = result.emb_utilization, result.emb_stall_fraction
+    stage = _EmbStage(result.mean_batch_cycles, utilization, min(1.0, stall))
+    return stage, result.l1_hit_rate, result.avg_load_latency
+
+
+def _check_panel(schemes: Tuple[str, ...], num_cores: int, detailed_cores: int) -> None:
+    """Reject bad panel inputs before anything is simulated."""
+    for scheme in schemes:
+        if scheme not in SCHEME_NAMES:
+            raise UnknownSchemeError(
+                f"unknown scheme {scheme!r}; expected one of {SCHEME_NAMES}"
+            )
+    if num_cores < 1:
+        raise ConfigError(f"num_cores must be at least 1, got {num_cores}")
+    if detailed_cores < 1:
+        raise ConfigError(f"detailed_cores must be at least 1, got {detailed_cores}")
 
 
 def evaluate_scheme(
@@ -153,52 +172,50 @@ def evaluate_scheme(
     swpf: SWPrefetchConfig = PAPER_SWPF,
     smt: Optional[SMTModel] = None,
     detailed_cores: int = 2,
+    *,
+    _stages: Optional[Dict[_StageKey, _Stage]] = None,
 ) -> SchemeResult:
     """Evaluate one design point.
 
     ``trace`` and ``amap`` must describe the same (scaled) ``model`` —
     sharing them across schemes keeps the comparison paired.
+    ``_stages`` is :func:`evaluate_all_schemes`'s per-panel memo of
+    measured embedding stages.
     """
-    if scheme not in SCHEME_NAMES:
-        raise UnknownSchemeError(
-            f"unknown scheme {scheme!r}; expected one of {SCHEME_NAMES}"
-        )
+    _check_panel((scheme,), num_cores, detailed_cores)
     smt = smt or SMTModel()
     batch_size = trace.batch_size
-    hw_prefetch = scheme != "hw_pf_off"
-    plan = swpf.plan() if scheme in ("sw_pf", "integrated") else None
-    halved = scheme == "dp_ht"
-
-    stage, l1_hit, load_latency = _run_embedding(
-        model, trace, amap, platform, num_cores, hw_prefetch, plan, halved,
-        detailed_cores,
+    key: _StageKey = (
+        scheme != "hw_pf_off",
+        swpf.plan() if scheme in ("sw_pf", "integrated") else None,
+        scheme == "dp_ht",
     )
+    _stages = {} if _stages is None else _stages
+    if key not in _stages:
+        _stages[key] = _run_embedding(
+            trace, amap, platform, num_cores, *key, detailed_cores
+        )
+    measured, l1_hit, load_latency = _stages[key]
     # Project embedding cycles from the simulated (scaled) lookup count to
     # paper scale so stage ratios — and every scheme that depends on them
     # (MP-HT overlap, Fig 1 shares, Table 4 ms) — match the paper's shape.
-    stage.mean_batch_cycles *= model.paper_scale_ratio()
+    ratio = model.paper_scale_ratio()
+    stage = replace(measured, mean_batch_cycles=measured.mean_batch_cycles * ratio)
     timing = time_inference_sequential(model, stage, platform.core, batch_size)
 
+    stages = timing.stages
     if scheme == "hw_pf_off":
-        stages = StageTimes(
-            bottom_mlp=timing.stages.bottom_mlp * HW_PF_OFF_DENSE_SLOWDOWN,
-            embedding=timing.stages.embedding,
-            interaction=timing.stages.interaction * HW_PF_OFF_DENSE_SLOWDOWN,
-            top_mlp=timing.stages.top_mlp * HW_PF_OFF_DENSE_SLOWDOWN,
+        stages = replace(
+            stages,
+            bottom_mlp=stages.bottom_mlp * HW_PF_OFF_DENSE_SLOWDOWN,
+            interaction=stages.interaction * HW_PF_OFF_DENSE_SLOWDOWN,
+            top_mlp=stages.top_mlp * HW_PF_OFF_DENSE_SLOWDOWN,
         )
+    smt_batch_cycles = _SMT_BATCH_CYCLES.get(scheme)
+    if smt_batch_cycles is None:
         batch_cycles = stages.total
-    elif scheme in ("baseline", "sw_pf"):
-        stages = timing.stages
-        batch_cycles = stages.total
-    elif scheme == "dp_ht":
-        stages = timing.stages
-        batch_cycles = dp_ht_batch_cycles(timing, smt=smt)
-    elif scheme == "mp_ht":
-        stages = timing.stages
-        batch_cycles = mp_ht_batch_cycles(timing, smt=smt)
-    else:  # integrated
-        stages = timing.stages
-        batch_cycles = integrated_batch_cycles(timing, smt=smt)
+    else:
+        batch_cycles = smt_batch_cycles(timing, smt=smt)
 
     return SchemeResult(
         scheme=scheme,
@@ -226,18 +243,17 @@ def evaluate_all_schemes(
     smt: Optional[SMTModel] = None,
     detailed_cores: int = 2,
 ) -> Dict[str, SchemeResult]:
-    """Evaluate several design points on one shared workload."""
+    """Evaluate several design points on one shared workload.
+
+    Schemes that run the same embedding stage share one simulation of it.
+    """
+    schemes = tuple(schemes)
+    _check_panel(schemes, num_cores, detailed_cores)
+    stages: Dict[_StageKey, _Stage] = {}
     return {
         scheme: evaluate_scheme(
-            scheme,
-            model,
-            trace,
-            amap,
-            platform,
-            num_cores=num_cores,
-            swpf=swpf,
-            smt=smt,
-            detailed_cores=detailed_cores,
+            scheme, model, trace, amap, platform, num_cores=num_cores,
+            swpf=swpf, smt=smt, detailed_cores=detailed_cores, _stages=stages,
         )
         for scheme in schemes
     }

@@ -31,7 +31,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..config import SimConfig
-from ..core.schemes import evaluate_scheme
 from ..cpu.platform import get_platform
 from ..serving.cluster import ClusterConfig, ClusterSim
 from ..serving.degradation import DegradationController, scheme_ladder
@@ -45,14 +44,12 @@ from ..serving.router import HedgePolicy
 from ..serving.sla import sla_for_model
 from ..serving.workload import poisson_arrivals
 from .base import ExperimentReport
+from .resilience import ladder_service_ms
 from .workloads import build_workload
 
 EXPERIMENT_ID = "cluster_resilience"
 TITLE = "Cluster SLA and goodput under node-scoped faults"
 PAPER_REFERENCE = "Table 1 SLAs; at-scale serving under fleet faults"
-
-#: Schemes measured to parameterize the per-node degradation ladders.
-LADDER_SCHEMES = ("baseline", "sw_pf", "integrated")
 
 
 def _scenarios(
@@ -113,13 +110,7 @@ def run(
         num_batches=num_batches, config=config,
     )
     sla = sla_for_model(wl.model)
-    service_ms: Dict[str, float] = {}
-    for scheme in LADDER_SCHEMES:
-        result = evaluate_scheme(
-            scheme, wl.model, wl.trace, wl.amap, spec,
-            num_cores=cores_per_node, detailed_cores=detailed_cores,
-        )
-        service_ms[scheme] = result.batch_ms
+    service_ms = ladder_service_ms(wl, spec, cores_per_node, detailed_cores)
 
     base_ms = service_ms["baseline"]
     call_ms = base_ms / gather_width  # one shard's slice of a batch

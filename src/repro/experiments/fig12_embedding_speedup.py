@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..config import SimConfig
-from ..core.schemes import evaluate_scheme
+from ..core.schemes import evaluate_all_schemes
 from ..cpu.platform import get_platform
 from .base import ExperimentReport
 from .workloads import build_workload
@@ -47,13 +47,10 @@ def run(
                 num_batches=num_batches, config=config,
             )
             for cores in core_counts:
-                results = {
-                    scheme: evaluate_scheme(
-                        scheme, wl.model, wl.trace, wl.amap, spec,
-                        num_cores=cores, detailed_cores=detailed_cores,
-                    )
-                    for scheme in SCHEMES
-                }
+                results = evaluate_all_schemes(
+                    wl.model, wl.trace, wl.amap, spec, num_cores=cores,
+                    schemes=SCHEMES, detailed_cores=detailed_cores,
+                )
                 base = results["baseline"]
                 report.rows.append(
                     {

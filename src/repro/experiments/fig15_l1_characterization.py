@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..config import SimConfig
-from ..core.schemes import evaluate_scheme
+from ..core.schemes import evaluate_all_schemes
 from ..cpu.platform import get_platform
 from .base import ExperimentReport
 from .workloads import build_workload
@@ -43,10 +43,10 @@ def run(
             model_name, dataset, scale=scale, batch_size=batch_size,
             num_batches=num_batches, config=config,
         )
-        for scheme in SCHEMES:
-            result = evaluate_scheme(
-                scheme, wl.model, wl.trace, wl.amap, spec, num_cores=1
-            )
+        results = evaluate_all_schemes(
+            wl.model, wl.trace, wl.amap, spec, num_cores=1, schemes=SCHEMES
+        )
+        for scheme, result in results.items():
             report.rows.append(
                 {
                     "model": model_name,

@@ -10,10 +10,10 @@ arrivals before saturating.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..config import SimConfig
-from ..core.schemes import evaluate_scheme
+from ..core.schemes import evaluate_all_schemes
 from ..cpu.platform import get_platform
 from ..serving.latency import sla_compliant_region, sweep_arrival_times
 from ..serving.sla import sla_for_model
@@ -57,13 +57,11 @@ def run(
             num_batches=num_batches, config=config,
         )
         sla = sla_for_model(wl.model)
-        service_ms: Dict[str, float] = {}
-        for scheme in SCHEMES:
-            result = evaluate_scheme(
-                scheme, wl.model, wl.trace, wl.amap, spec,
-                num_cores=num_cores, detailed_cores=detailed_cores,
-            )
-            service_ms[scheme] = result.batch_ms
+        results = evaluate_all_schemes(
+            wl.model, wl.trace, wl.amap, spec, num_cores=num_cores,
+            schemes=SCHEMES, detailed_cores=detailed_cores,
+        )
+        service_ms = {scheme: result.batch_ms for scheme, result in results.items()}
         arrival_grid = _arrival_grid(service_ms["baseline"], num_cores)
         for scheme in SCHEMES:
             sweep = sweep_arrival_times(

@@ -34,7 +34,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.cache_model import analyze_trace_reuse
 from ..config import SimConfig
-from ..core.schemes import evaluate_scheme
 from ..cpu.platform import get_platform
 from ..errors import ConfigError
 from ..obs.detect import DetectionEvent
@@ -57,6 +56,7 @@ from ..tenants import (
     streaming_tenant,
 )
 from .base import ExperimentReport
+from .resilience import ladder_service_ms
 from .workloads import build_workload
 
 EXPERIMENT_ID = "noisy_neighbor"
@@ -65,9 +65,6 @@ PAPER_REFERENCE = (
     "Table 1 SLAs; Section 6.5 serving methodology; extension — "
     "multi-tenant co-location the paper never measured"
 )
-
-#: Schemes measured to parameterize the composed degradation ladder.
-LADDER_SCHEMES = ("baseline", "sw_pf", "integrated")
 
 #: Tenant mixes swept (subset-selectable via the ``tenants`` parameter).
 TENANT_MIXES = ("none", "streaming", "compute", "locker", "mix")
@@ -216,13 +213,7 @@ def run(
         num_batches=num_batches, config=config,
     )
     sla = sla_for_model(wl.model)
-    service_ms: Dict[str, float] = {}
-    for scheme in LADDER_SCHEMES:
-        result = evaluate_scheme(
-            scheme, wl.model, wl.trace, wl.amap, spec,
-            num_cores=num_cores, detailed_cores=detailed_cores,
-        )
-        service_ms[scheme] = result.batch_ms
+    service_ms = ladder_service_ms(wl, spec, num_cores, detailed_cores)
 
     base_ms = service_ms["baseline"]
     interarrival_ms = base_ms / (num_cores * offered_load)

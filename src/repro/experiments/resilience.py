@@ -25,8 +25,8 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..config import SimConfig
-from ..core.schemes import evaluate_scheme
-from ..cpu.platform import get_platform
+from ..core.schemes import evaluate_all_schemes
+from ..cpu.platform import CPUSpec, get_platform
 from ..serving.degradation import DegradationController, scheme_ladder
 from ..serving.faults import (
     ArrivalBurst,
@@ -39,7 +39,7 @@ from ..serving.server import ServingPolicy, simulate_server
 from ..serving.sla import sla_for_model
 from ..serving.workload import poisson_arrivals
 from .base import ExperimentReport
-from .workloads import build_workload
+from .workloads import Workload, build_workload
 
 EXPERIMENT_ID = "resilience"
 TITLE = "SLA violations and goodput under injected faults"
@@ -47,6 +47,17 @@ PAPER_REFERENCE = "Table 1 SLAs; Section 6.5 serving methodology, under faults"
 
 #: Schemes measured to parameterize the degradation ladder.
 LADDER_SCHEMES = ("baseline", "sw_pf", "integrated")
+
+
+def ladder_service_ms(
+    wl: Workload, platform: CPUSpec, num_cores: int, detailed_cores: int
+) -> Dict[str, float]:
+    """Batch latency (ms) of each :data:`LADDER_SCHEMES` rung on ``wl``."""
+    results = evaluate_all_schemes(
+        wl.model, wl.trace, wl.amap, platform, num_cores=num_cores,
+        schemes=LADDER_SCHEMES, detailed_cores=detailed_cores,
+    )
+    return {scheme: result.batch_ms for scheme, result in results.items()}
 
 
 def _controller(service_ms: Dict[str, float], sla_ms: float) -> DegradationController:
@@ -144,13 +155,7 @@ def run(
         num_batches=num_batches, config=config,
     )
     sla = sla_for_model(wl.model)
-    service_ms: Dict[str, float] = {}
-    for scheme in LADDER_SCHEMES:
-        result = evaluate_scheme(
-            scheme, wl.model, wl.trace, wl.amap, spec,
-            num_cores=num_cores, detailed_cores=detailed_cores,
-        )
-        service_ms[scheme] = result.batch_ms
+    service_ms = ladder_service_ms(wl, spec, num_cores, detailed_cores)
 
     base_ms = service_ms["baseline"]
     interarrival_ms = base_ms / (num_cores * offered_load)

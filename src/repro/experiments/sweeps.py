@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..config import SimConfig
-from ..core.schemes import evaluate_scheme
+from ..core.schemes import evaluate_all_schemes
 from ..cpu.platform import get_platform
 from ..errors import ConfigError
 from ..model.configs import get_model
@@ -37,10 +37,7 @@ def _evaluate(model, dataset, batch_size, num_batches, config, platform, schemes
         config=config,
     )
     amap = AddressMap([model.rows] * model.num_tables, model.embedding_dim)
-    return {
-        scheme: evaluate_scheme(scheme, model, trace, amap, spec)
-        for scheme in schemes
-    }
+    return evaluate_all_schemes(model, trace, amap, spec, schemes=schemes)
 
 
 def sweep_batch_size(

@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 
 from ..config import SimConfig
 from ..core.integrated import synergy_report
-from ..core.schemes import evaluate_scheme
 from ..core.swpf import PAPER_SWPF
 from ..cpu.platform import get_platform
 from ..engine.inference import time_inference_sequential

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..config import SimConfig
-from ..core.schemes import evaluate_scheme
+from ..core.schemes import evaluate_all_schemes
 from ..cpu.platform import get_platform
 from .base import ExperimentReport
 from .workloads import build_workload
@@ -50,11 +50,11 @@ def run(
             # Embedding cost is linear in batch size; project the simulated
             # batch to the paper's batch of 64.
             batch_projection = 64.0 / batch_size
-            for scheme in SCHEMES:
-                result = evaluate_scheme(
-                    scheme, wl.model, wl.trace, wl.amap, spec,
-                    num_cores=num_cores, detailed_cores=detailed_cores,
-                )
+            results = evaluate_all_schemes(
+                wl.model, wl.trace, wl.amap, spec, num_cores=num_cores,
+                schemes=SCHEMES, detailed_cores=detailed_cores,
+            )
+            for scheme, result in results.items():
                 row[f"{scheme}_ms"] = result.embedding_ms * batch_projection
             report.rows.append(row)
     report.notes.append(
