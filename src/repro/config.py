@@ -40,11 +40,6 @@ class SimConfig:
         the default ``0.05`` keeps trace-driven experiments in the seconds
         range.  Analytic paths (reuse-distance model, breakdown) always run
         at paper scale regardless.
-    engine:
-        Simulation engine: ``"fast"`` (array-backed caches + vectorized
-        hierarchy walk, the default) or ``"reference"`` (per-set Python
-        objects, the correctness oracle).  Both produce identical results;
-        see ``docs/modeling.md``.
     mode:
         Hit-rate modeling mode for the analytic paths: ``"sim"`` (default)
         replays a synthesized index stream through the exact stack-distance
@@ -52,15 +47,13 @@ class SimConfig:
         closed form from the calibrated Zipf law (Che's approximation, see
         ``repro.analysis.analytic``) without synthesizing a trace.  The two
         agree within the noise-floored bounds pinned by
-        ``tests/test_analysis_analytic.py`` but are *not* bit-identical —
-        hence a separate knob from ``engine``.
+        ``tests/test_analysis_analytic.py`` but are *not* bit-identical.
     """
 
     seed: int = 0xD1_12_31
     batch_size: int = PAPER_BATCH_SIZE
     num_batches: int = 8
     scale: float = 0.05
-    engine: str = "fast"
     mode: str = "sim"
 
     def __post_init__(self) -> None:
@@ -70,10 +63,6 @@ class SimConfig:
             raise ConfigError(f"num_batches must be positive, got {self.num_batches}")
         if not 0.0 < self.scale <= 1.0:
             raise ConfigError(f"scale must be in (0, 1], got {self.scale}")
-        if self.engine not in ("fast", "reference"):
-            raise ConfigError(
-                f"engine must be 'fast' or 'reference', got {self.engine!r}"
-            )
         if self.mode not in ("sim", "analytic"):
             raise ConfigError(
                 f"mode must be 'sim' or 'analytic', got {self.mode!r}"

@@ -24,9 +24,7 @@ from .hierarchy import (
     AccessResult,
     MemoryHierarchy,
     build_hierarchy,
-    get_default_engine,
     make_cache,
-    set_default_engine,
 )
 from .mshr import MSHRFile
 from .policies import FIFOPolicy, LRUPolicy, PLRUTreePolicy, RandomPolicy, make_policy
@@ -63,10 +61,8 @@ __all__ = [
     "TLBConfig",
     "TLBModel",
     "build_hierarchy",
-    "get_default_engine",
     "line_of",
     "lines_of_range",
     "make_cache",
     "make_policy",
-    "set_default_engine",
 ]

@@ -40,33 +40,13 @@ __all__ = [
     "HierarchyConfig",
     "MemoryHierarchy",
     "build_hierarchy",
-    "get_default_engine",
     "make_cache",
-    "set_default_engine",
 ]
 
-#: Recognized simulation engines: the per-set-object reference
-#: implementation (the correctness oracle) and the array-backed fast path.
+#: Cache implementations :func:`make_cache` can build: the array-backed
+#: fast path (production) and the per-set-object reference implementation
+#: (the correctness oracle, asked for explicitly by tests and benchmarks).
 ENGINE_NAMES = ("reference", "fast")
-
-#: Process-wide engine used when callers do not pass one explicitly.
-#: Experiment entry points (:func:`repro.experiments.registry.run_experiment`)
-#: set this from ``SimConfig.engine``; direct library users keep the
-#: reference engine unless they opt in.
-_DEFAULT_ENGINE = "reference"
-
-
-def set_default_engine(engine: str) -> None:
-    """Set the process-wide default simulation engine."""
-    if engine not in ENGINE_NAMES:
-        raise ConfigError(f"unknown engine {engine!r}; expected one of {ENGINE_NAMES}")
-    global _DEFAULT_ENGINE
-    _DEFAULT_ENGINE = engine
-
-
-def get_default_engine() -> str:
-    """Current process-wide default simulation engine."""
-    return _DEFAULT_ENGINE
 
 
 def make_cache(
@@ -75,15 +55,18 @@ def make_cache(
     ways: int,
     policy: str = "lru",
     seed: int = 0,
-    engine: Optional[str] = None,
+    engine: str = "fast",
 ):
-    """Construct one cache level under the selected engine.
+    """Construct one cache level.
 
-    The fast engine only implements true LRU; non-LRU policies silently get
-    the reference implementation (they are ablation-only paths), so both
-    engines accept every policy name.
+    LRU levels are :class:`FastCache` unless ``engine="reference"`` asks for
+    the oracle.  FIFO, tree-PLRU and random replacement exist only in
+    :class:`Cache`, so those policies get a ``Cache`` under either engine.
+
+    Whole runs reach the oracle through the module name: patching
+    ``repro.mem.hierarchy.FastCache`` to ``Cache`` makes every cache built
+    here a reference cache (``tests/test_engine_fastpath.py``).
     """
-    engine = engine or _DEFAULT_ENGINE
     if engine not in ENGINE_NAMES:
         raise ConfigError(f"unknown engine {engine!r}; expected one of {ENGINE_NAMES}")
     if engine == "fast" and policy.lower() == "lru":
@@ -522,14 +505,13 @@ def build_hierarchy(
     shared_dram: Optional[DRAMModel] = None,
     hw_prefetch: bool = True,
     seed: int = 0,
-    engine: Optional[str] = None,
+    engine: str = "fast",
 ) -> MemoryHierarchy:
     """Construct one core's hierarchy.
 
     Pass the same ``shared_l3`` / ``shared_dram`` objects to several calls to
     model cores of one socket sharing their LLC and memory channels.
-    ``engine`` selects the cache implementation (``"reference"`` or
-    ``"fast"``); None uses the process default (:func:`get_default_engine`).
+    ``engine`` is passed to :func:`make_cache` for every level built here.
     """
     l1 = make_cache(
         "l1", config.l1_size, config.l1_ways, policy=config.policy, seed=seed,

@@ -140,9 +140,7 @@ class ClusterConfig:
     ``local_fault_plan`` / ``local_policy`` / ``controller_factory``
     configure the per-node resilient loop; core-level fault plans are
     only accepted on the 1-node delegation path (a multi-node cluster's
-    failure domain is the node).  ``engine`` likewise only applies on the
-    1-node delegation path, where it selects the ``ServerSim`` engine;
-    the multi-node loop has a single implementation.
+    failure domain is the node).
 
     Every time and rate must be finite: a NaN or infinite value is
     rejected here rather than surfacing as a NaN percentile.
@@ -169,7 +167,6 @@ class ClusterConfig:
     cache_scores: Optional[Tuple[float, ...]] = None
     partial_results: bool = True
     seed: int = 0
-    engine: Optional[str] = None
     label: Optional[str] = None
     local_fault_plan: Optional[FaultPlan] = None
     local_policy: Optional[ServingPolicy] = None
@@ -222,11 +219,6 @@ class ClusterConfig:
                 raise ConfigError("need one cache score per node")
             if any(not 0.0 <= s <= 1.0 for s in self.cache_scores):
                 raise ConfigError("cache scores must be in [0, 1]")
-        if self.engine is not None and self.engine not in ("fast", "reference"):
-            raise ConfigError(
-                f"unknown serving engine {self.engine!r}; "
-                "expected 'fast' or 'reference'"
-            )
 
     @property
     def is_single_box(self) -> bool:
@@ -607,7 +599,6 @@ class ClusterSim:
                 else None
             ),
             label=cfg.label,
-            engine=cfg.engine,
         )
         local = sim.run(arrivals_ms, rng)
         n = local.offered_requests

@@ -29,6 +29,7 @@ completed within their deadline.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TYPE_CHECKING
@@ -36,7 +37,6 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 import numpy as np
 
 from ..errors import ConfigError
-from ..mem.hierarchy import get_default_engine
 from ..obs import hooks as obs_hooks
 from ..obs.metrics import Histogram
 from . import fastserve
@@ -115,16 +115,20 @@ class ServingPolicy:
     shed_expired: bool = True
 
     def __post_init__(self) -> None:
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
-            raise ConfigError("deadline must be positive")
-        if self.timeout_ms is not None and self.timeout_ms <= 0:
-            raise ConfigError("timeout must be positive")
+        if self.deadline_ms is not None and not (
+            math.isfinite(self.deadline_ms) and self.deadline_ms > 0
+        ):
+            raise ConfigError("deadline must be positive and finite")
+        if self.timeout_ms is not None and not (
+            math.isfinite(self.timeout_ms) and self.timeout_ms > 0
+        ):
+            raise ConfigError("timeout must be positive and finite")
         if self.max_retries < 0:
             raise ConfigError("retry budget must be non-negative")
-        if self.retry_backoff_ms <= 0:
-            raise ConfigError("retry backoff must be positive")
-        if self.retry_jitter < 0:
-            raise ConfigError("retry jitter must be non-negative")
+        if not (math.isfinite(self.retry_backoff_ms) and self.retry_backoff_ms > 0):
+            raise ConfigError("retry backoff must be positive and finite")
+        if not (math.isfinite(self.retry_jitter) and self.retry_jitter >= 0):
+            raise ConfigError("retry jitter must be non-negative and finite")
         if self.max_queue_depth is not None and self.max_queue_depth <= 0:
             raise ConfigError("queue depth bound must be positive")
         if self.max_retries > 0 and self.timeout_ms is None:
@@ -305,8 +309,9 @@ class ServerSim:
     each with its own seeded service stream, its own faults, and its own
     controller, glued together by a router rather than by shared state.
 
-    ``engine`` may be ``None`` (resolve the process default at each
-    :meth:`run`), ``"reference"``, or ``"fast"``.
+    ``engine`` is ``"fast"`` (the batched engine, the production path) or
+    ``"reference"`` (the per-request event loops, the oracle the fast
+    engine is tested against).
     """
 
     mean_service_ms: float
@@ -316,12 +321,18 @@ class ServerSim:
     policy: Optional[ServingPolicy] = None
     controller: Optional["DegradationController"] = None
     label: Optional[str] = None
-    engine: Optional[str] = None
+    engine: str = "fast"
 
     def __post_init__(self) -> None:
         if self.num_cores <= 0:
             raise ConfigError("need at least one core")
-        if self.engine is not None and self.engine not in ("fast", "reference"):
+        if not (math.isfinite(self.mean_service_ms) and self.mean_service_ms > 0):
+            raise ConfigError("mean service time must be positive and finite")
+        if not (math.isfinite(self.service_cv) and self.service_cv >= 0):
+            raise ConfigError(
+                "coefficient of variation must be non-negative and finite"
+            )
+        if self.engine not in ("fast", "reference"):
             raise ConfigError(
                 f"unknown serving engine {self.engine!r}; "
                 "expected 'fast' or 'reference'"
@@ -342,18 +353,14 @@ class ServerSim:
         """Simulate this server against one arrival process."""
         if arrivals_ms.ndim != 1 or arrivals_ms.size == 0:
             raise ConfigError("need a non-empty 1-D arrival array")
+        if not np.all(np.isfinite(arrivals_ms)):
+            raise ConfigError("arrival times must be finite")
         if np.any(np.diff(arrivals_ms) < 0):
             raise ConfigError("arrival times must be non-decreasing")
-        engine = self.engine if self.engine is not None else get_default_engine()
-        if engine not in ("fast", "reference"):
-            raise ConfigError(
-                f"unknown serving engine {engine!r}; "
-                "expected 'fast' or 'reference'"
-            )
         if self.is_plain:
             return _simulate_fast(
                 arrivals_ms, self.mean_service_ms, self.num_cores, rng,
-                self.service_cv, self.label, engine,
+                self.service_cv, self.label, self.engine,
             )
         return _simulate_resilient(
             arrivals_ms,
@@ -365,7 +372,7 @@ class ServerSim:
             self.policy if self.policy is not None else ServingPolicy(),
             self.controller,
             self.label,
-            engine,
+            self.engine,
         )
 
 
@@ -379,7 +386,7 @@ def simulate_server(
     policy: Optional[ServingPolicy] = None,
     controller: Optional["DegradationController"] = None,
     label: Optional[str] = None,
-    engine: Optional[str] = None,
+    engine: str = "fast",
 ) -> ServerResult:
     """Run the FIFO M/G/c simulation and collect per-request latencies.
 
@@ -388,11 +395,9 @@ def simulate_server(
     returns byte-identical arrays to the pre-resilience simulator; any
     configured resilience feature switches to the event-driven loop.
 
-    ``engine`` selects the execution engine: ``"reference"`` runs the
-    per-request event loops, ``"fast"`` the batched engine from
-    :mod:`repro.serving.fastserve` (byte-identical results on both
-    paths), and ``None`` uses the process default shared with the memory
-    hierarchy (:func:`repro.mem.hierarchy.get_default_engine`).
+    ``engine`` selects the execution engine: ``"fast"`` (the default) the
+    batched engine from :mod:`repro.serving.fastserve`, ``"reference"``
+    the per-request event loops (byte-identical results on both paths).
 
     ``label`` names this simulation in request-scoped telemetry (the
     :class:`repro.obs.requests.RequestLog` run label and its trace track);
@@ -420,8 +425,8 @@ def _simulate_fast(
     num_cores: int,
     rng: np.random.Generator,
     service_cv: float,
-    label: Optional[str] = None,
-    engine: str = "reference",
+    label: Optional[str],
+    engine: str,
 ) -> ServerResult:
     """The happy-path M/G/c simulation (byte-identical on both engines)."""
     n = arrivals_ms.size
@@ -478,8 +483,8 @@ def _simulate_resilient(
     plan: FaultPlan,
     policy: ServingPolicy,
     controller: Optional["DegradationController"],
-    label: Optional[str] = None,
-    engine: str = "reference",
+    label: Optional[str],
+    engine: str,
 ) -> ServerResult:
     """Event-driven loop with faults, deadlines, retries, and shedding."""
     arrivals, injected = plan.inject_arrivals(arrivals_ms)

@@ -59,9 +59,3 @@ def test_experiment_scale_applies_overrides():
     assert applied.num_batches == 3
     assert applied.batch_size == 8
 
-
-def test_engine_validation_message():
-    with pytest.raises(
-        ConfigError, match=r"engine must be 'fast' or 'reference', got 'turbo'"
-    ):
-        SimConfig(engine="turbo")

@@ -4,7 +4,9 @@ Three levels of checking, from unit to end-to-end:
 
 1. wave partitioning invariants (the algorithm the vectorized walk rests on),
 2. ``MemoryHierarchy.access_lines`` vs a sequential ``load()`` loop,
-3. full experiment reports under ``engine="fast"`` vs ``engine="reference"``.
+3. embedding runs and full experiment reports on fast caches vs on the
+   ``Cache`` oracle (whole runs reach it by patching
+   ``repro.mem.hierarchy.FastCache``, the one seam for that).
 """
 
 from __future__ import annotations
@@ -14,14 +16,21 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro.mem
+from repro import quick_eval
 from repro.config import SimConfig
 from repro.cpu.platform import get_platform
+from repro.engine import multicore
 from repro.engine.embedding_exec import run_embedding_trace
+from repro.engine.multicore import run_embedding_multicore
 from repro.errors import ConfigError
 from repro.experiments.base import report_to_dict
 from repro.experiments.registry import run_experiment
 from repro.experiments.workloads import build_workload
-from repro.mem.hierarchy import _wave_partition, build_hierarchy
+from repro.mem import hierarchy
+from repro.mem.cache import Cache
+from repro.mem.fastcache import FastCache
+from repro.mem.hierarchy import _wave_partition, build_hierarchy, make_cache
 
 
 def _streams():
@@ -96,7 +105,7 @@ def test_fast_engine_matches_reference_walk(name):
 
 
 def _embedding_result(engine: str):
-    config = SimConfig(seed=99, engine=engine)
+    config = SimConfig(seed=99)
     wl = build_workload(
         "rm2_1", "low", scale=0.01, batch_size=8, num_batches=2, config=config
     )
@@ -111,6 +120,47 @@ def test_embedding_trace_identical_across_engines():
     assert dataclasses.asdict(fast) == dataclasses.asdict(ref)
 
 
+def _multicore_result():
+    wl = build_workload(
+        "rm2_1", "low", scale=0.01, batch_size=8, num_batches=4,
+        config=SimConfig(seed=77),
+    )
+    return run_embedding_multicore(
+        wl.trace, wl.amap, get_platform("csl"), num_cores=4, detailed_cores=2
+    )
+
+
+def test_multicore_identical_across_engines(monkeypatch):
+    # Two detailed cores share one L3 and one DRAM model.
+    fast = _multicore_result()
+    monkeypatch.setattr(hierarchy, "FastCache", Cache)
+    ref = _multicore_result()
+    assert dataclasses.asdict(fast) == dataclasses.asdict(ref)
+
+
+def test_library_callers_get_fast_caches(monkeypatch):
+    built = []
+
+    def recording(wrapped):
+        def make(*args, **kwargs):
+            cache = wrapped(*args, **kwargs)
+            built.append(cache)
+            return cache
+        return make
+
+    monkeypatch.setattr(hierarchy, "make_cache", recording(hierarchy.make_cache))
+    monkeypatch.setattr(multicore, "make_cache", recording(multicore.make_cache))
+    quick_eval(
+        num_cores=2, scale=0.01, batch_size=8, num_batches=2,
+        schemes=("baseline", "dp_ht"),
+    )
+    # Both the private levels and the multicore engine's shared L3.
+    assert {cache.name for cache in built} == {"l1", "l2", "l3"}
+    assert all(type(cache) is FastCache for cache in built)
+    # No engine default or setter is exported, only the names make_cache takes.
+    assert [n for n in dir(repro.mem) if "engine" in n.lower()] == ["ENGINE_NAMES"]
+
+
 @pytest.mark.parametrize(
     "exp_id, overrides",
     [
@@ -122,12 +172,16 @@ def test_embedding_trace_identical_across_engines():
         ),
     ],
 )
-def test_reports_identical_across_engines(exp_id, overrides):
-    fast = run_experiment(exp_id, config=SimConfig(engine="fast"), **overrides)
-    ref = run_experiment(exp_id, config=SimConfig(engine="reference"), **overrides)
+def test_reports_identical_across_engines(exp_id, overrides, monkeypatch):
+    fast = run_experiment(exp_id, **overrides)
+    monkeypatch.setattr(hierarchy, "FastCache", Cache)
+    assert type(make_cache("probe", 32 * 1024, 8)) is Cache
+    ref = run_experiment(exp_id, **overrides)
     assert report_to_dict(fast) == report_to_dict(ref)
 
 
-def test_simconfig_rejects_unknown_engine():
-    with pytest.raises(ConfigError):
-        SimConfig(engine="warp")
+def test_make_cache_rejects_unknown_engine():
+    with pytest.raises(
+        ConfigError, match=r"unknown engine 'warp'; expected one of"
+    ):
+        make_cache("l1", 32 * 1024, 8, engine="warp")

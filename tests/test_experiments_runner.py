@@ -77,12 +77,13 @@ def test_new_parser_flags():
     assert args.num_requests == 500
 
 
-def test_engine_and_mode_flags():
-    args = build_parser().parse_args(
-        ["fig12", "--engine", "reference", "--mode", "analytic"]
-    )
-    assert args.engine == "reference"
+def test_engine_and_mode_flags(capsys):
+    args = build_parser().parse_args(["fig12", "--mode", "analytic"])
     assert args.model_mode == "analytic"
+    # The fast engine is the only production path: no flag selects another.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["fig12", "--engine", "reference"])
+    assert "--engine" in capsys.readouterr().err
 
 
 class TestResultCache:
@@ -129,19 +130,17 @@ class TestResultCache:
         assert len(rebuilt) == 1
         assert isinstance(json.loads(rebuilt[0].read_text())["report"], dict)
 
-    def test_key_distinguishes_engine_and_mode(self):
-        # Engine/mode switches must never serve each other's memos: the
-        # key hashes every SimConfig field, so each combination is its
-        # own cache slot.
+    def test_key_distinguishes_mode(self):
+        # Mode switches must never serve each other's memos: the key
+        # hashes every SimConfig field, so each mode is its own cache slot.
         from repro.config import SimConfig
         from repro.experiments.runner import _cache_key
 
         keys = {
-            _cache_key("fig12", SimConfig(engine=eng, mode=mode), {})
-            for eng in ("fast", "reference")
+            _cache_key("fig12", SimConfig(mode=mode), {})
             for mode in ("sim", "analytic")
         }
-        assert len(keys) == 4
+        assert len(keys) == 2
         # Overrides (the forwarded batching knobs) are part of the key too.
         base = _cache_key("fig12", SimConfig(), {})
         assert _cache_key("fig12", SimConfig(), {"batch_size": 8}) != base

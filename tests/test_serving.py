@@ -11,7 +11,7 @@ from repro.serving.latency import (
     sla_compliant_region,
     sweep_arrival_times,
 )
-from repro.serving.server import lognormal_services, simulate_server
+from repro.serving.server import ServerSim, lognormal_services, simulate_server
 from repro.serving.sla import SLA_TARGETS, sla_for_model
 from repro.serving.workload import poisson_arrivals
 
@@ -107,6 +107,26 @@ class TestServer:
             simulate_server(np.array([2.0, 1.0]), 5.0, 1, rng)
         with pytest.raises(ConfigError):
             lognormal_services(0.0, 5, rng)
+
+
+class TestServerNonFinite:
+    """NaN/inf fail at the single-box boundary, not as a NaN p99."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_non_finite_arrivals_rejected(self, rng, bad, engine):
+        with pytest.raises(ConfigError, match="finite"):
+            simulate_server(np.array([0.0, bad, 2.0]), 1.0, 2, rng, engine=engine)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_mean_service_rejected(self, value):
+        with pytest.raises(ConfigError, match="finite"):
+            ServerSim(mean_service_ms=value, num_cores=2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_service_cv_rejected(self, value):
+        with pytest.raises(ConfigError, match="finite"):
+            ServerSim(mean_service_ms=1.0, num_cores=2, service_cv=value)
 
 
 class TestLatencyAnalysis:

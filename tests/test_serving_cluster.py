@@ -42,7 +42,11 @@ def _cluster(arrivals, **kwargs):
 
 
 class TestSingleBoxDelegation:
-    """A 1-node replication-1 cluster IS the bare server, byte for byte."""
+    """A 1-node replication-1 cluster IS the bare server, byte for byte.
+
+    ``engine`` is the bare server's; the delegated cluster runs the fast
+    engine, so the reference case also checks fast against the oracle.
+    """
 
     @pytest.mark.parametrize("engine", ["fast", "reference"])
     def test_plain_path_byte_identical(self, engine):
@@ -53,7 +57,7 @@ class TestSingleBoxDelegation:
         res = ClusterSim(
             ClusterConfig(
                 num_nodes=1, cores_per_node=3, mean_service_ms=2.0,
-                replication=1, gather_width=1, num_shards=1, engine=engine,
+                replication=1, gather_width=1, num_shards=1,
             )
         ).run(arrivals, SimConfig(seed=5).rng("t:svc"))
         assert res.local is not None
@@ -89,7 +93,7 @@ class TestSingleBoxDelegation:
         res = ClusterSim(
             ClusterConfig(
                 num_nodes=1, cores_per_node=3, mean_service_ms=2.0,
-                replication=1, gather_width=1, num_shards=1, engine=engine,
+                replication=1, gather_width=1, num_shards=1,
                 local_fault_plan=plan, local_policy=policy,
                 controller_factory=lambda node: controller(),
             )

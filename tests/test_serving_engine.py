@@ -168,32 +168,6 @@ class TestResilientPath:
 
 
 class TestEngineSelection:
-    def test_default_engine_resolution(self):
-        from repro.mem.hierarchy import set_default_engine
-
-        config = SimConfig(seed=31)
-        arrivals = _arrivals(config, 100, 4)
-        previous = None
-        try:
-            from repro.mem.hierarchy import get_default_engine
-
-            previous = get_default_engine()
-            set_default_engine("reference")
-            implicit = simulate_server(
-                arrivals, 5.0, 4, config.rng("diff:service")
-            )
-            explicit = simulate_server(
-                arrivals, 5.0, 4, config.rng("diff:service"),
-                engine="reference",
-            )
-            assert (
-                implicit.latencies_ms.tobytes()
-                == explicit.latencies_ms.tobytes()
-            )
-        finally:
-            if previous is not None:
-                set_default_engine(previous)
-
     def test_unknown_engine_rejected(self):
         from repro.errors import ConfigError
 

@@ -263,6 +263,26 @@ class TestPolicy:
             # Retries without a timeout can never trigger.
             ServingPolicy(max_retries=2)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_deadline_rejected(self, value):
+        with pytest.raises(ConfigError, match="finite"):
+            ServingPolicy(deadline_ms=value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_timeout_rejected(self, value):
+        with pytest.raises(ConfigError, match="finite"):
+            ServingPolicy(timeout_ms=value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_retry_backoff_rejected(self, value):
+        with pytest.raises(ConfigError, match="finite"):
+            ServingPolicy(retry_backoff_ms=value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_retry_jitter_rejected(self, value):
+        with pytest.raises(ConfigError, match="finite"):
+            ServingPolicy(retry_jitter=value)
+
     def test_for_sla(self):
         from repro.serving.sla import SLA_TARGETS
 
