@@ -6,6 +6,7 @@ Examples::
     repro-experiment fig12 --scale 0.03
     repro-experiment fig4,fig5
     repro-experiment all --out results/ --jobs 4
+    repro-experiment cluster_resilience --obs obs/
 
 Multi-target runs (``all`` or a comma-separated id list) keep going past
 failing experiments and report them at the end (nonzero exit code); they
@@ -16,6 +17,11 @@ or truncated entries are treated as misses, so an interrupted run can
 never poison later ones.  ``--jobs N`` fans independent experiments out
 across processes; ``--timeout S`` bounds each experiment's wall clock and
 ``--retries N`` re-runs transient failures.
+
+``--obs DIR`` observes the run — tracer, metrics registry and request
+log — and writes every stream into ``DIR`` under the fixed names of
+:mod:`repro.obs.sink`; ``tools/trace_report.py DIR`` and
+``tools/obs_dashboard.py DIR`` read it back.
 """
 
 from __future__ import annotations
@@ -33,9 +39,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..config import SimConfig
-from ..obs import Observation
+from ..obs import Observation, RequestLog
 from ..obs import hooks as obs_hooks
-from ..obs.cpi import collect_cpi_stacks, format_cpi_table
+from ..obs import sink as obs_sink
 from .base import format_report, report_from_dict, report_to_dict
 from .registry import EXPERIMENT_IDS, get_experiment, list_experiments, run_experiment
 
@@ -129,37 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="also render an ASCII bar chart of the report",
     )
     parser.add_argument(
-        "--trace", type=Path, default=None, metavar="FILE",
-        help="write a Chrome-trace JSON (chrome://tracing) of the run; "
+        "--obs", type=Path, default=None, metavar="DIR",
+        help="observe the run and write every stream into DIR: trace.json, "
+        "metrics.jsonl, requests.jsonl, plus slo.jsonl / critpath.jsonl "
+        "from experiments that export them (see tools/trace_report.py); "
         "forces serial in-process execution and bypasses the result cache",
-    )
-    parser.add_argument(
-        "--metrics", type=Path, default=None, metavar="FILE",
-        help="write the metrics registry as JSONL (one metric per line)",
-    )
-    parser.add_argument(
-        "--cpi-stack", action="store_true",
-        help="print the per-stage CPI stack table after the reports",
-    )
-    parser.add_argument(
-        "--request-log", type=Path, default=None, metavar="FILE",
-        help="write per-request serving lifecycles as JSONL (arrival, "
-        "queueing, retries, faults, outcome + cause); like --trace this "
-        "forces serial in-process execution and bypasses the result cache",
-    )
-    parser.add_argument(
-        "--slo-log", type=Path, default=None, metavar="FILE",
-        help="write windowed SLO states and burn/detector alerts as JSONL "
-        "(experiments that accept an slo_log parameter, e.g. "
-        "slo_observatory); forces serial in-process execution and "
-        "bypasses the result cache",
-    )
-    parser.add_argument(
-        "--critpath-log", type=Path, default=None, metavar="FILE",
-        help="write critical-path profiles and what-if validation records "
-        "as JSONL (experiments that accept a critpath_log parameter, e.g. "
-        "critpath_observatory); forces serial in-process execution and "
-        "bypasses the result cache",
     )
     parser.add_argument(
         "--tenants", default=None, metavar="MIXES",
@@ -173,11 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         "defense parameter (noisy_neighbor: static,partition,qos,"
         "qos_degraded; default sweeps all)",
     )
-    parser.add_argument(
-        "--bench-record", type=Path, default=None, metavar="FILE",
-        help="append per-experiment wall-clock records to a benchmark "
-        "history JSONL (see tools/bench_all.py for the pinned suite)",
-    )
     return parser
 
 
@@ -190,10 +165,10 @@ def _overrides(args: argparse.Namespace, runner) -> dict:
         value = getattr(args, flag, None)
         if value is not None and flag in accepted:
             out[flag] = value
-    for log_flag in ("slo_log", "critpath_log"):
-        value = getattr(args, log_flag, None)
-        if value is not None and log_flag in accepted:
-            out[log_flag] = str(value)
+    if args.obs is not None:
+        for stream in obs_sink.LAYOUT:
+            if stream.param is not None and stream.param in accepted:
+                out[stream.param] = str(obs_sink.stream_path(args.obs, stream.name))
     for flag in ("tenants", "defense"):
         value = getattr(args, flag, None)
         if value is not None and flag in accepted:
@@ -324,14 +299,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     # Telemetry lives in this process: observed runs bypass the result
     # cache (a cached report carries no spans/metrics) and run serially
     # in-process (a fork pool's telemetry would die with the workers).
-    observing = (
-        args.trace is not None
-        or args.metrics is not None
-        or args.cpi_stack
-        or args.request_log is not None
-        or args.slo_log is not None
-        or args.critpath_log is not None
-    )
+    observing = args.obs is not None
     use_cache = (args.cache or multi) and not args.no_cache and not observing
 
     failures: List[Tuple[str, str]] = []
@@ -366,11 +334,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             pending.append(task)
 
     if observing:
-        from ..obs import RequestLog
-
-        observation = Observation(
-            requests=RequestLog() if args.request_log is not None else None
-        )
+        obs_sink.prepare(args.obs)
+        observation = Observation(requests=RequestLog())
     else:
         observation = None
     timeout = args.timeout if not observing else None
@@ -468,63 +433,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             _emit(args, exp_id, report_dict, elapsed, cached)
 
     if observation is not None:
-        if args.cpi_stack:
-            stacks = collect_cpi_stacks(observation.metrics)
-            if stacks:
-                print(format_cpi_table(stacks))
-            else:
-                print("[cpi-stack: no core cycles were recorded]")
-            print()
-        if args.trace is not None:
-            args.trace.parent.mkdir(parents=True, exist_ok=True)
-            observation.tracer.to_chrome(args.trace)
-            n_events = len(observation.tracer.events)
-            print(f"[trace: {n_events} events -> {args.trace}]")
-        if args.metrics is not None:
-            args.metrics.parent.mkdir(parents=True, exist_ok=True)
-            observation.metrics.to_jsonl(args.metrics)
-            n_metrics = len(observation.metrics.snapshot())
-            print(f"[metrics: {n_metrics} series -> {args.metrics}]")
-        if args.request_log is not None:
-            args.request_log.parent.mkdir(parents=True, exist_ok=True)
-            n_requests = observation.requests.to_jsonl(args.request_log)
-            print(f"[request-log: {n_requests} requests -> {args.request_log}]")
-
-    if args.bench_record is not None:
-        from ..obs.regress import Benchmark, append_record, make_record
-
-        fresh = [
-            (exp_id, finished[exp_id][0])
-            for exp_id in targets
-            if exp_id in finished and not finished[exp_id][2]
-        ]
-        if fresh:
-            record = make_record(
-                mode="runner",
-                repeats=1,
-                benchmarks=[
-                    Benchmark(
-                        name=f"experiment.{exp_id}.wall_s",
-                        value=elapsed,
-                        unit="s",
-                        direction="lower",
-                        # Single-shot experiment wall clocks are noisy;
-                        # only flag multi-fold blowups.
-                        noise_floor=0.5 * elapsed,
-                        kind="wall",
-                    )
-                    for exp_id, elapsed in fresh
-                ],
-            )
-            append_record(args.bench_record, record)
-            print(
-                f"[bench-record: {len(fresh)} experiment(s) -> {args.bench_record}]"
-            )
-        else:
-            print(
-                "[bench-record: nothing recorded (all results were cached)]",
-                file=sys.stderr,
-            )
+        for line in obs_sink.write(args.obs, observation):
+            print(line)
 
     if failures:
         print(f"{len(failures)} experiment(s) failed:", file=sys.stderr)

@@ -23,8 +23,9 @@ bucket), so downstream consumers can treat the stack as a partition.
 
 Stacks are published into a :class:`~repro.obs.metrics.MetricsRegistry`
 as ``core.cycles{stage=...}`` plus ``core.cpi.<bucket>{stage=...}``
-counters and reassembled by :func:`collect_cpi_stacks` — which is what
-``repro-experiment --cpi-stack`` and ``tools/trace_report.py`` print.
+counters and reassembled by :func:`collect_cpi_stacks`; the
+"== CPI stacks ==" view of ``tools/trace_report.py DIR`` prints them from
+an observation directory's ``metrics.jsonl``.
 """
 
 from __future__ import annotations

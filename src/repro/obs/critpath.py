@@ -37,7 +37,8 @@ Aggregation (:func:`aggregate_profiles`) answers "where does p99 go":
 fleet-wide per-kind breakdowns overall, over the p99 tail, and per
 node/shard, exported as schema-validated ``critpath_profile`` records
 (``$defs.critpath_record`` in ``tools/trace_schema.json``) and rendered
-by ``tools/trace_report.py --critpath`` and the dashboard panel.
+by ``tools/trace_report.py DIR`` (from any request log) and the
+dashboard panel.
 
 Everything here is a pure function of the logged records — deterministic
 across hosts and ``--jobs``, no simulation, no randomness, no wall time.

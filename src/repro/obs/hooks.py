@@ -41,8 +41,8 @@ class Observation:
 
     ``requests`` is the opt-in third instrument: attach a
     :class:`repro.obs.requests.RequestLog` and every serving simulation in
-    the session records per-request lifecycles (the runner's
-    ``--request-log`` flag does this).  It defaults to ``None`` — request
+    the session records per-request lifecycles (the runner's ``--obs
+    DIR`` does this).  It defaults to ``None`` — request
     logging is a further opt-in on top of tracing/metrics because it
     records one object per request rather than per run.
     """

@@ -18,9 +18,11 @@ serving loop takes a single ``is None`` branch per event: results and
 throughput are untouched, matching the zero-cost contract of
 :mod:`repro.obs.hooks`.
 
-Offline consumers: ``tools/trace_report.py --requests`` prints slowest-N
-request timelines and the SLA-miss attribution table;
-``tools/obs_dashboard.py`` renders the attribution into the HTML report.
+Offline consumers: ``tools/trace_report.py DIR`` prints slowest-N
+request timelines and the SLA-miss attribution table of the
+``requests.jsonl`` that ``repro-experiment --obs DIR`` writes;
+``tools/obs_dashboard.py DIR`` renders the attribution into the HTML
+report.
 """
 
 from __future__ import annotations
@@ -381,7 +383,7 @@ class RequestLog:
     """All request records of one observed session, bounded like the tracer.
 
     Attach one to an :class:`repro.obs.hooks.Observation` (the runner's
-    ``--request-log`` flag does this) and every serving simulation in the
+    ``--obs DIR`` does this) and every serving simulation in the
     session appends one :class:`RunLog`.  Once ``max_requests`` records
     are held, further requests are counted in :attr:`dropped` but not
     kept, so a truncated log is never mistaken for a complete one.

@@ -7,8 +7,9 @@ use: ``type`` (string or list of strings), ``properties``, ``required``,
 in ``properties`` — how the bench-record's dynamic benchmark map is
 validated), and ``$defs`` with :func:`validate_def` (named sub-schemas
 for the request-event and bench-record line formats).
-``repro-experiment --trace`` output and the CI smoke test validate
-against it without pulling in the ``jsonschema`` package.
+Every stream of a ``repro-experiment --obs DIR`` directory (see
+:mod:`repro.obs.sink`) and the CI smoke tests validate against it
+without pulling in the ``jsonschema`` package.
 """
 
 from __future__ import annotations

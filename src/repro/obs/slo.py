@@ -34,6 +34,7 @@ the record list, so a given log grades identically on every host.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -97,8 +98,10 @@ class SLOSpec:
             raise ConfigError("SLO objective must be in (0, 1)")
         if self.kind == "latency" and self.threshold_ms is None:
             raise ConfigError("latency SLOs need a threshold_ms")
-        if self.threshold_ms is not None and self.threshold_ms <= 0:
-            raise ConfigError("SLO latency threshold must be positive")
+        if self.threshold_ms is not None and not (
+            math.isfinite(self.threshold_ms) and self.threshold_ms > 0
+        ):
+            raise ConfigError("SLO latency threshold must be positive and finite")
 
     @property
     def budget_fraction(self) -> float:
@@ -185,8 +188,8 @@ class BurnRule:
             raise ConfigError("burn-rule windows must be positive")
         if self.short > self.long:
             raise ConfigError("burn-rule short window must not exceed long")
-        if self.threshold <= 0:
-            raise ConfigError("burn-rule threshold must be positive")
+        if not (math.isfinite(self.threshold) and self.threshold > 0):
+            raise ConfigError("burn-rule threshold must be positive and finite")
 
 
 #: Page-worthy fast burn plus a slow sustained-burn ticket condition.

@@ -275,10 +275,10 @@ def lognormal_services(
     mean_ms: float, count: int, rng: np.random.Generator, cv: float = DEFAULT_SERVICE_CV
 ) -> np.ndarray:
     """Service times with the given mean and coefficient of variation."""
-    if mean_ms <= 0:
-        raise ConfigError("mean service time must be positive")
-    if cv < 0:
-        raise ConfigError("coefficient of variation must be non-negative")
+    if not (math.isfinite(mean_ms) and mean_ms > 0):
+        raise ConfigError("mean service time must be positive and finite")
+    if not (math.isfinite(cv) and cv >= 0):
+        raise ConfigError("coefficient of variation must be non-negative and finite")
     if cv == 0:
         return np.full(count, mean_ms)
     sigma2 = np.log(1.0 + cv * cv)

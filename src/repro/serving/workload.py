@@ -7,6 +7,8 @@ arrival time, swept from the SLA-compliant region into saturation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ConfigError
@@ -24,8 +26,8 @@ def poisson_arrivals(
     ``mean_interarrival_ms`` is the paper's x-axis in Fig 17 ("arrival
     time"): smaller means a higher offered load.
     """
-    if mean_interarrival_ms <= 0:
-        raise ConfigError("mean inter-arrival time must be positive")
+    if not (math.isfinite(mean_interarrival_ms) and mean_interarrival_ms > 0):
+        raise ConfigError("mean inter-arrival time must be positive and finite")
     if num_requests <= 0:
         raise ConfigError("request count must be positive")
     gaps = rng.exponential(mean_interarrival_ms, size=num_requests)

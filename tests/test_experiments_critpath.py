@@ -116,16 +116,18 @@ class TestLog:
 
 class TestRunner:
     def test_cli_smoke_writes_log(self, tmp_path, capsys):
-        log = tmp_path / "critpath.jsonl"
+        obs_dir = tmp_path / "obs"
         main(
             [
                 "--experiment", "critpath_observatory",
                 "--num-requests", "800",
-                "--critpath-log", str(log),
+                "--obs", str(obs_dir),
             ]
         )
         out = capsys.readouterr().out
         assert "critpath_observatory" in out
+        assert "[critpath:" in out
+        log = obs_dir / "critpath.jsonl"
         assert log.exists()
         first = json.loads(log.read_text().splitlines()[0])
         assert first["kind"] == "critpath_log_meta"

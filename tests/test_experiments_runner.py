@@ -152,12 +152,29 @@ _RESILIENCE_SMALL = [
 ]
 
 
+def _obs_digest(obs_dir):
+    """Every stream of an observation directory, minus wall-clock timings.
+
+    The JSONL streams compare byte for byte; the trace keeps its
+    simulated spans (wall spans time the host, not the simulation).
+    """
+    streams = {
+        p.name: p.read_bytes() for p in sorted(obs_dir.iterdir()) if p.suffix == ".jsonl"
+    }
+    trace = json.loads((obs_dir / "trace.json").read_text())
+    streams["trace.json"] = json.dumps(
+        [e for e in trace["traceEvents"] if e.get("pid") != 1], sort_keys=True
+    ).encode()
+    return streams
+
+
 class TestRequestLogFlag:
     def test_request_log_written_and_nonempty(self, tmp_path, capsys):
-        log = tmp_path / "req.jsonl"
-        assert main(_RESILIENCE_SMALL + ["--request-log", str(log)]) == 0
+        obs_dir = tmp_path / "obs"
+        assert main(_RESILIENCE_SMALL + ["--obs", str(obs_dir)]) == 0
         out = capsys.readouterr().out
-        assert "[request-log:" in out
+        assert "[requests:" in out
+        log = obs_dir / "requests.jsonl"
         lines = [json.loads(l) for l in log.read_text().splitlines()]
         assert lines[0]["kind"] == "request_log_meta"
         assert lines[0]["requests"] == len(lines) - 1 > 0
@@ -167,45 +184,54 @@ class TestRequestLogFlag:
     def test_request_logged_run_bypasses_cache(
         self, tmp_path, monkeypatch, capsys
     ):
-        """ISSUE acceptance: a cached result is never served with a stale
-        or empty request log."""
+        """A cached result is never served with a stale or empty
+        request log."""
         monkeypatch.chdir(tmp_path)
         assert main(_RESILIENCE_SMALL + ["--cache"]) == 0
         assert list((tmp_path / CACHE_DIR).glob("*.json"))
         capsys.readouterr()
-        log = tmp_path / "req.jsonl"
-        assert main(
-            _RESILIENCE_SMALL + ["--cache", "--request-log", str(log)]
-        ) == 0
+        obs_dir = tmp_path / "obs"
+        assert main(_RESILIENCE_SMALL + ["--cache", "--obs", str(obs_dir)]) == 0
         out = capsys.readouterr().out
         assert "cached" not in out  # ran fresh despite a warm cache
+        log = obs_dir / "requests.jsonl"
         assert json.loads(log.read_text().splitlines()[0])["requests"] > 0
 
     def test_request_log_deterministic_across_jobs(self, tmp_path, capsys):
-        """Same seed + fault plan => byte-identical export at any --jobs."""
-        exports = []
+        """Same seed + fault plan => the same observation directory at
+        any --jobs."""
+        digests = []
         for jobs in ("1", "3"):
-            log = tmp_path / f"req{jobs}.jsonl"
-            assert main(
-                _RESILIENCE_SMALL
-                + ["--jobs", jobs, "--request-log", str(log)]
-            ) == 0
-            exports.append(log.read_bytes())
-        assert exports[0] == exports[1]
+            obs_dir = tmp_path / f"obs{jobs}"
+            assert main(_RESILIENCE_SMALL + ["--jobs", jobs, "--obs", str(obs_dir)]) == 0
+            digests.append(_obs_digest(obs_dir))
+        assert set(digests[0]) == {"metrics.jsonl", "requests.jsonl", "trace.json"}
+        assert digests[0] == digests[1]
+
+    def test_obs_dir_drops_stale_streams(self, tmp_path, capsys):
+        """A stream the run does not write is absent, not left over."""
+        obs_dir = tmp_path / "obs"
+        obs_dir.mkdir()
+        (obs_dir / "slo.jsonl").write_text("stale\n")
+        (obs_dir / "notes.txt").write_text("kept\n")
+        assert main(["table1", "--obs", str(obs_dir)]) == 0
+        assert not (obs_dir / "slo.jsonl").exists()
+        assert (obs_dir / "notes.txt").exists()
+        assert (obs_dir / "trace.json").exists()
 
 
-def test_bench_record_flag_appends_wall_records(tmp_path, capsys):
-    from repro.obs.regress import load_history
-
-    history = tmp_path / "hist.jsonl"
-    assert main(["table1", "--bench-record", str(history)]) == 0
-    assert "[bench-record: 1 experiment(s)" in capsys.readouterr().out
-    records = load_history(history)
-    assert len(records) == 1
-    bench = records[0]["benchmarks"]["experiment.table1.wall_s"]
-    assert bench["kind"] == "wall"
-    assert bench["direction"] == "lower"
-    assert bench["value"] >= 0.0
+@pytest.mark.parametrize(
+    "flag",
+    ["--trace", "--metrics", "--cpi-stack", "--request-log", "--slo-log",
+     "--critpath-log", "--bench-record"],
+)
+def test_per_stream_flags_rejected(flag, tmp_path, capsys):
+    """--obs DIR is the only observability sink."""
+    argv = ["table1", flag] + ([] if flag == "--cpi-stack" else [str(tmp_path / "x")])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def _flaky_factory(fail_times):

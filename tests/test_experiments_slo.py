@@ -134,13 +134,15 @@ _CLUSTER_SMALL = [
 
 class TestRunnerIntegration:
     def test_slo_log_flag_forwarded_and_written(self, tmp_path, capsys):
-        log = tmp_path / "slo.jsonl"
+        obs_dir = tmp_path / "obs"
         args = [
             "slo_observatory", "--scale", "0.01", "--batch-size", "8",
             "--num-batches", "1", "--num-requests", "400",
-            "--slo-log", str(log),
+            "--obs", str(obs_dir),
         ]
         assert main(args) == 0
+        assert "[slo:" in capsys.readouterr().out
+        log = obs_dir / "slo.jsonl"
         lines = log.read_text().splitlines()
         assert json.loads(lines[0])["kind"] == "slo_log_meta"
         assert len(lines) > 1
@@ -156,11 +158,11 @@ class TestRunnerIntegration:
         assert main(args + ["--cache"]) == 0
         assert list((tmp_path / CACHE_DIR).glob("*.json"))
         capsys.readouterr()
-        log = tmp_path / "slo.jsonl"
-        assert main(args + ["--cache", "--slo-log", str(log)]) == 0
+        obs_dir = tmp_path / "obs"
+        assert main(args + ["--cache", "--obs", str(obs_dir)]) == 0
         out = capsys.readouterr().out
         assert "cached" not in out
-        assert log.exists()
+        assert (obs_dir / "slo.jsonl").exists()
 
     def test_cluster_request_log_deterministic_across_jobs(
         self, tmp_path, capsys
@@ -168,11 +170,11 @@ class TestRunnerIntegration:
         """Merged multi-node request logs are byte-identical at any --jobs."""
         exports = []
         for jobs in ("1", "3"):
-            log = tmp_path / f"req{jobs}.jsonl"
+            obs_dir = tmp_path / f"obs{jobs}"
             assert main(
-                _CLUSTER_SMALL + ["--jobs", jobs, "--request-log", str(log)]
+                _CLUSTER_SMALL + ["--jobs", jobs, "--obs", str(obs_dir)]
             ) == 0
-            exports.append(log.read_bytes())
+            exports.append((obs_dir / "requests.jsonl").read_bytes())
         assert exports[0] == exports[1]
 
     def test_deterministic_report_via_registry(self):

@@ -111,21 +111,20 @@ def test_hyperthread_schedulers_emit_smt_telemetry(
 
 
 def test_runner_trace_metrics_cpi_flags(tmp_path, capsys):
-    trace_path = tmp_path / "t.json"
-    metrics_path = tmp_path / "m.jsonl"
+    """--obs DIR writes a schema-valid trace and the metrics stream."""
+    obs_dir = tmp_path / "obs"
     assert main([
         "--experiment", "fig5", "--scale", "0.01", "--batch-size", "8",
-        "--num-batches", "1",
-        "--trace", str(trace_path), "--metrics", str(metrics_path), "--cpi-stack",
+        "--num-batches", "1", "--obs", str(obs_dir),
     ]) == 0
     out = capsys.readouterr().out
-    assert "[trace:" in out and "[metrics:" in out
-    trace = json.loads(trace_path.read_text())
+    assert "[trace:" in out and "[metrics:" in out and "[requests:" in out
+    trace = json.loads((obs_dir / "trace.json").read_text())
     schema = json.loads(SCHEMA_PATH.read_text())
     assert validate(trace, schema) == []
     names = [e["name"] for e in trace["traceEvents"]]
     assert "experiment:fig5" in names
-    for line in metrics_path.read_text().splitlines():
+    for line in (obs_dir / "metrics.jsonl").read_text().splitlines():
         json.loads(line)
 
 
@@ -144,12 +143,10 @@ def test_runner_rejects_conflicting_or_missing_experiment(capsys):
 
 
 def test_trace_report_tool(tmp_path, capsys):
-    trace_path = tmp_path / "t.json"
-    metrics_path = tmp_path / "m.jsonl"
+    obs_dir = tmp_path / "obs"
     assert main([
         "--experiment", "fig5", "--scale", "0.01", "--batch-size", "8",
-        "--num-batches", "1",
-        "--trace", str(trace_path), "--metrics", str(metrics_path),
+        "--num-batches", "1", "--obs", str(obs_dir),
     ]) == 0
     capsys.readouterr()
     import importlib.util
@@ -159,9 +156,8 @@ def test_trace_report_tool(tmp_path, capsys):
     )
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    assert mod.main([
-        str(trace_path), "--metrics", str(metrics_path), "--validate"
-    ]) == 0
+    assert mod.main([str(obs_dir), "--validate"]) == 0
     out = capsys.readouterr().out
     assert "schema OK" in out
     assert "wall spans" in out
+    assert "metrics: " in out

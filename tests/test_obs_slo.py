@@ -46,6 +46,11 @@ class TestSLOSpec:
         with pytest.raises(ConfigError):
             SLOSpec("a", "latency", 0.99)  # latency needs threshold_ms
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_threshold_ms(self, value):
+        with pytest.raises(ConfigError, match="finite"):
+            SLOSpec("lat", "latency", 0.99, threshold_ms=value)
+
     def test_is_good_latency(self):
         spec = SLOSpec("lat", "latency", 0.99, threshold_ms=10.0)
         assert spec.is_good(_rec(5.0, latency_ms=5.0))
@@ -100,6 +105,11 @@ class TestBurnAlerts:
             outcome = "failed" if j in bad_windows else "completed"
             records.extend(_rec(j * 10.0 + k + 0.5, outcome=outcome) for k in range(5))
         return evaluate_slo(spec, records, window_ms=10.0, horizon_ms=400.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_burn_rule_rejects_non_finite_threshold(self, value):
+        with pytest.raises(ConfigError, match="finite"):
+            BurnRule("bad", 1, 4, value)
 
     def test_quiet_timeline_no_alerts(self):
         assert burn_alerts(self._timeline(set())) == []

@@ -129,6 +129,25 @@ class TestServerNonFinite:
             ServerSim(mean_service_ms=1.0, num_cores=2, service_cv=value)
 
 
+class TestGeneratorsNonFinite:
+    """The public workload/service generators reject NaN/inf at their boundary."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_mean_interarrival_rejected(self, rng, value):
+        with pytest.raises(ConfigError, match="finite"):
+            poisson_arrivals(value, 3, rng)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_lognormal_mean_rejected(self, rng, value):
+        with pytest.raises(ConfigError, match="finite"):
+            lognormal_services(value, 3, rng)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_lognormal_cv_rejected(self, rng, value):
+        with pytest.raises(ConfigError, match="finite"):
+            lognormal_services(1.0, 3, rng, cv=value)
+
+
 class TestLatencyAnalysis:
     def test_percentile(self):
         assert latency_percentile(range(101), 95) == pytest.approx(95.0)

@@ -195,9 +195,7 @@ class TestJobsDeterminism:
         ]
         exports = []
         for jobs in ("1", "3"):
-            log = tmp_path / f"req{jobs}.jsonl"
-            assert main(
-                argv + ["--jobs", jobs, "--request-log", str(log)]
-            ) == 0
-            exports.append(log.read_bytes())
+            obs_dir = tmp_path / f"obs{jobs}"
+            assert main(argv + ["--jobs", jobs, "--obs", str(obs_dir)]) == 0
+            exports.append((obs_dir / "requests.jsonl").read_bytes())
         assert exports[0] == exports[1]

@@ -7,9 +7,20 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs import sink
 from repro.obs.regress import Benchmark, append_record, make_record
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _obs_dir(path, **streams):
+    """An observation directory holding ``streams`` (name -> JSONL records)."""
+    path.mkdir(exist_ok=True)
+    for name, lines in streams.items():
+        sink.stream_path(path, name).write_text(
+            "".join(json.dumps(line) + "\n" for line in lines)
+        )
+    return path
 
 
 def _load_tool(name):
@@ -95,46 +106,34 @@ def test_dashboard_renders_all_sections(obs_dashboard, tmp_path, capsys):
     hist = tmp_path / "hist.jsonl"
     append_record(hist, _record(30.0, timestamp="2026-01-01T00:00:00"))
     append_record(hist, _record(33.0, timestamp="2026-01-02T00:00:00"))
-    metrics = tmp_path / "metrics.jsonl"
-    metrics.write_text(
-        json.dumps(
+    obs_dir = _obs_dir(
+        tmp_path / "obs",
+        metrics=[
             {
                 "name": "core.cycles", "type": "counter", "value": 1000.0,
                 "labels": {"stage": "embedding"},
-            }
-        )
-        + "\n"
-        + json.dumps(
+            },
             {
                 "name": "core.cpi.dram_bound", "type": "counter",
                 "value": 600.0, "labels": {"stage": "embedding"},
-            }
-        )
-        + "\n"
-    )
-    reqlog = tmp_path / "req.jsonl"
-    reqlog.write_text(
-        json.dumps(
+            },
+        ],
+        requests=[
             {
                 "kind": "request_log_meta", "schema_version": 1,
                 "runs": 1, "requests": 1, "dropped": 0,
-            }
-        )
-        + "\n"
-        + json.dumps(
+            },
             {
-                "kind": "request", "outcome": "shed", "cause": "queue_full",
+                "kind": "request", "req": 0, "id": "0:0",
+                "outcome": "shed", "cause": "queue_full",
+                "arrival_ms": 0.0, "end_ms": 0.0,
                 "deadline_met": None, "fault_windows": [], "retries": 0,
-            }
-        )
-        + "\n"
+            },
+        ],
     )
     out = tmp_path / "dash.html"
     assert obs_dashboard.main(
-        [
-            "--history", str(hist), "--metrics", str(metrics),
-            "--request-log", str(reqlog), "--out", str(out),
-        ]
+        [str(obs_dir), "--history", str(hist), "--out", str(out)]
     ) == 0
     page = out.read_text()
     assert "benchmark trajectories (2 record(s))" in page
@@ -151,7 +150,8 @@ def test_dashboard_renders_all_sections(obs_dashboard, tmp_path, capsys):
 def test_dashboard_handles_missing_inputs(obs_dashboard, tmp_path):
     out = tmp_path / "dash.html"
     assert obs_dashboard.main(
-        ["--history", str(tmp_path / "absent.jsonl"), "--out", str(out)]
+        [str(_obs_dir(tmp_path / "obs")),
+         "--history", str(tmp_path / "absent.jsonl"), "--out", str(out)]
     ) == 0
     assert "no artifacts" in out.read_text()
 
@@ -179,7 +179,7 @@ def test_bench_all_smoke_appends_schema_valid_record(tmp_path):
     assert "scheme.mp_ht.speedup" in record["benchmarks"]
 
 
-# -- trace_report --requests -------------------------------------------------
+# -- trace_report: request log -----------------------------------------------
 
 
 def test_trace_report_requests_mode(tmp_path, capsys):
@@ -205,11 +205,9 @@ def test_trace_report_requests_mode(tmp_path, capsys):
             ),
             label="report-test",
         )
-    path = tmp_path / "req.jsonl"
-    log.to_jsonl(path)
-    assert trace_report.main(
-        ["--requests", str(path), "--validate", "--top", "3"]
-    ) == 0
+    obs_dir = _obs_dir(tmp_path / "obs")
+    log.to_jsonl(sink.stream_path(obs_dir, "requests"))
+    assert trace_report.main([str(obs_dir), "--validate", "--top", "3"]) == 0
     out = capsys.readouterr().out
     assert "schema OK" in out
     assert "SLA-miss attribution" in out
@@ -217,17 +215,20 @@ def test_trace_report_requests_mode(tmp_path, capsys):
     assert "report-test" in out
 
 
-def test_trace_report_requires_some_input(capsys):
+def test_trace_report_requires_some_input(tmp_path, capsys):
     trace_report = _load_tool("trace_report")
     with pytest.raises(SystemExit):
         trace_report.main([])
+    with pytest.raises(SystemExit):
+        trace_report.main([str(_obs_dir(tmp_path / "empty"))])
+    assert "no observation streams" in capsys.readouterr().err
 
 
 # -- fleet view + SLO log (PR 8) ---------------------------------------------
 
 
 def _cluster_artifacts(tmp_path):
-    """One small traced+logged cluster run -> (trace.json, req.jsonl)."""
+    """One small traced+logged cluster run -> its observation directory."""
     from repro.config import SimConfig
     from repro.obs import RequestLog
     from repro.obs.hooks import Observation, session
@@ -251,20 +252,15 @@ def _cluster_artifacts(tmp_path):
                 seed=3, label="tools-fleet",
             )
         ).run(arrivals)
-    trace_path = tmp_path / "t.json"
-    req_path = tmp_path / "req.jsonl"
-    obs.tracer.to_chrome(trace_path)
-    obs.requests.to_jsonl(req_path)
-    return trace_path, req_path
+    obs_dir = tmp_path / "obs"
+    sink.write(obs_dir, obs)
+    return obs_dir
 
 
 def test_trace_report_fleet_view_and_node_column(tmp_path, capsys):
     trace_report = _load_tool("trace_report")
-    trace_path, req_path = _cluster_artifacts(tmp_path)
-    assert trace_report.main(
-        [str(trace_path), "--fleet", "--requests", str(req_path),
-         "--validate", "--top", "3"]
-    ) == 0
+    obs_dir = _cluster_artifacts(tmp_path)
+    assert trace_report.main([str(obs_dir), "--validate", "--top", "3"]) == 0
     out = capsys.readouterr().out
     assert "schema OK" in out
     assert "per-node attempts" in out
@@ -276,7 +272,6 @@ def test_trace_report_fleet_view_and_node_column(tmp_path, capsys):
 
 def test_trace_report_slo_mode(tmp_path, capsys):
     trace_report = _load_tool("trace_report")
-    path = tmp_path / "slo.jsonl"
     lines = [
         {"kind": "slo_log_meta", "schema_version": 1, "window_ms": 10.0,
          "scenarios": ["none"], "lines": 2},
@@ -288,8 +283,8 @@ def test_trace_report_slo_mode(tmp_path, capsys):
          "name": "node0.error_rate", "state": "firing", "t_ms": 20.0,
          "node": 0, "score": 9.0, "scenario": "none"},
     ]
-    path.write_text("".join(json.dumps(l) + "\n" for l in lines))
-    assert trace_report.main(["--slo", str(path), "--validate"]) == 0
+    obs_dir = _obs_dir(tmp_path / "obs", slo=lines)
+    assert trace_report.main([str(obs_dir), "--validate"]) == 0
     out = capsys.readouterr().out
     assert "schema OK" in out
     assert "SLO error budgets" in out
@@ -301,10 +296,8 @@ def test_trace_report_slo_mode(tmp_path, capsys):
 
 def test_trace_report_critpath_from_requests(tmp_path, capsys):
     trace_report = _load_tool("trace_report")
-    _, req_path = _cluster_artifacts(tmp_path)
-    assert trace_report.main(
-        ["--requests", str(req_path), "--critpath", "--validate", "--top", "3"]
-    ) == 0
+    obs_dir = _cluster_artifacts(tmp_path)
+    assert trace_report.main([str(obs_dir), "--validate", "--top", "3"]) == 0
     out = capsys.readouterr().out
     assert "schema OK" in out
     assert "conservation: 400 request(s), 0 violation(s)" in out
@@ -312,15 +305,20 @@ def test_trace_report_critpath_from_requests(tmp_path, capsys):
     assert "bottleneck" in out
 
 
-def test_trace_report_critpath_needs_requests(capsys):
+def test_trace_report_critpath_needs_requests(tmp_path, capsys):
+    """Critical paths are computed from a request log; without one the
+    view is absent rather than empty."""
     trace_report = _load_tool("trace_report")
-    with pytest.raises(SystemExit):
-        trace_report.main(["--critpath"])
+    obs_dir = _obs_dir(tmp_path / "obs", metrics=[])
+    assert trace_report.main([str(obs_dir)]) == 0
+    out = capsys.readouterr().out
+    assert "metrics: 0 counters" in out
+    assert "conservation" not in out
+    assert "critical-path profiles" not in out
 
 
 def test_trace_report_critpath_log_mode(tmp_path, capsys):
     trace_report = _load_tool("trace_report")
-    path = tmp_path / "critpath.jsonl"
     lines = [
         {"kind": "critpath_log_meta", "schema_version": 1,
          "scenarios": ["noisy"], "lines": 2},
@@ -333,8 +331,8 @@ def test_trace_report_critpath_log_mode(tmp_path, capsys):
          "baseline": 15.0, "predicted": 12.0, "actual": 12.5,
          "within_bounds": True, "requests": 10, "estimated": False},
     ]
-    path.write_text("".join(json.dumps(l) + "\n" for l in lines))
-    assert trace_report.main(["--critpath-log", str(path), "--validate"]) == 0
+    obs_dir = _obs_dir(tmp_path / "obs", critpath=lines)
+    assert trace_report.main([str(obs_dir), "--validate"]) == 0
     out = capsys.readouterr().out
     assert "schema OK" in out
     assert "critical-path profiles" in out
@@ -344,23 +342,25 @@ def test_trace_report_critpath_log_mode(tmp_path, capsys):
 
 def test_trace_report_critpath_log_rejects_bad_record(tmp_path, capsys):
     trace_report = _load_tool("trace_report")
-    path = tmp_path / "critpath.jsonl"
     bad = {"kind": "whatif", "schema_version": 1, "scenario": "x",
            "knob": "warp_drive", "value": 1.0, "metric": "p99_ms",
            "baseline": 1.0, "predicted": 1.0, "actual": None,
            "within_bounds": None, "requests": 1, "estimated": False}
-    path.write_text(json.dumps(bad) + "\n")
-    assert trace_report.main(["--critpath-log", str(path), "--validate"]) == 1
+    obs_dir = _obs_dir(tmp_path / "obs", critpath=[bad])
+    assert trace_report.main([str(obs_dir), "--validate"]) == 1
     err = capsys.readouterr().err
     assert "schema violation" in err
+    # A record kind the layout does not name is a violation too.
+    _obs_dir(obs_dir, critpath=[{"kind": "mystery", "schema_version": 1}])
+    assert trace_report.main([str(obs_dir), "--validate"]) == 1
+    assert "line 1: unknown record kind 'mystery'" in capsys.readouterr().err
 
 
 def test_trace_report_json_format(tmp_path, capsys):
     trace_report = _load_tool("trace_report")
-    _, req_path = _cluster_artifacts(tmp_path)
+    obs_dir = _cluster_artifacts(tmp_path)
     assert trace_report.main(
-        ["--requests", str(req_path), "--critpath", "--validate",
-         "--format", "json"]
+        [str(obs_dir), "--validate", "--format", "json"]
     ) == 0
     captured = capsys.readouterr()
     document = json.loads(captured.out)  # stdout is one JSON document
@@ -388,9 +388,9 @@ def test_miss_attribution_sorted_by_count_then_cause(tmp_path, capsys):
             cause=None if i < 4 else "queue_full",
         )
     run.finish_custom()
-    path = tmp_path / "req.jsonl"
-    log.to_jsonl(path)
-    assert trace_report.main(["--requests", str(path), "--top", "1"]) == 0
+    obs_dir = _obs_dir(tmp_path / "obs")
+    log.to_jsonl(sink.stream_path(obs_dir, "requests"))
+    assert trace_report.main([str(obs_dir), "--top", "1"]) == 0
     out = capsys.readouterr().out
     lines = [l for l in out.splitlines() if l and l.split()[0] in
              ("node_fault", "shed_queue_full")]
@@ -399,21 +399,18 @@ def test_miss_attribution_sorted_by_count_then_cause(tmp_path, capsys):
 
 
 def test_dashboard_fleet_and_slo_sections(obs_dashboard, tmp_path):
-    trace_path, req_path = _cluster_artifacts(tmp_path)
-    slo_path = tmp_path / "slo.jsonl"
-    slo_path.write_text(
-        json.dumps(
+    obs_dir = _obs_dir(
+        _cluster_artifacts(tmp_path),
+        slo=[
             {"kind": "slo_state", "schema_version": 1, "slo": "avail",
              "slo_kind": "availability", "objective": 0.99, "t_ms": 10.0,
              "window_ms": 10.0, "good": 5, "total": 5, "compliance": 1.0,
              "burn_rate": 0.0, "budget_remaining": 1.0, "scenario": "none"}
-        )
-        + "\n"
+        ],
     )
     out = tmp_path / "dash.html"
     assert obs_dashboard.main(
-        ["--history", str(tmp_path / "absent.jsonl"),
-         "--request-log", str(req_path), "--slo-log", str(slo_path),
+        [str(obs_dir), "--history", str(tmp_path / "absent.jsonl"),
          "--out", str(out)]
     ) == 0
     page = out.read_text()
@@ -429,26 +426,71 @@ def test_dashboard_zero_completed_requests_blank_not_nan(
 ):
     """Satellite fix: a cluster log where nothing completed renders blank
     percentile cells, never NaN, and never crashes."""
-    reqlog = tmp_path / "req.jsonl"
     meta = {"kind": "request_log_meta", "schema_version": 1, "runs": 1,
             "requests": 2, "dropped": 0}
     shed = {
-        "kind": "request", "outcome": "shed", "cause": "queue_full",
-        "latency_ms": None, "deadline_met": None, "fault_windows": [],
+        "kind": "request", "req": 0, "id": "0:0",
+        "outcome": "shed", "cause": "queue_full",
+        "arrival_ms": 0.0, "latency_ms": None, "deadline_met": None, "fault_windows": [],
         "retries": 0, "end_ms": 1.0,
         "events": [{"kind": "shard_call", "t_ms": 0.5, "node": 0, "shard": 0},
                    {"kind": "call_failed", "t_ms": 1.0, "node": 0,
                     "shard": 0, "cause": "crash"}],
     }
-    reqlog.write_text(
-        json.dumps(meta) + "\n" + json.dumps(shed) + "\n"
-        + json.dumps(shed) + "\n"
-    )
+    obs_dir = _obs_dir(tmp_path / "obs", requests=[meta, shed, shed])
     out = tmp_path / "dash.html"
     assert obs_dashboard.main(
-        ["--history", str(tmp_path / "absent.jsonl"),
-         "--request-log", str(reqlog), "--out", str(out)]
+        [str(obs_dir), "--history", str(tmp_path / "absent.jsonl"),
+         "--out", str(out)]
     ) == 0
     page = out.read_text()
     assert "no completed requests" in page
     assert "nan" not in page.lower()
+
+
+# -- one view document behind every renderer ----------------------------------
+
+
+def test_text_json_and_html_render_one_document(obs_dashboard, tmp_path, capsys):
+    """A cluster run observed with --obs: the JSON document, the text
+    tables and the dashboard page agree on the SLA-miss attribution and
+    on every node's attempt count."""
+    import re
+
+    from repro.experiments.runner import main as runner_main
+
+    obs_dir = tmp_path / "obs"
+    assert runner_main(
+        ["cluster_resilience", "--scale", "0.01", "--batch-size", "8",
+         "--num-batches", "1", "--num-nodes", "3", "--replication", "2",
+         "--num-requests", "400", "--obs", str(obs_dir)]
+    ) == 0
+    capsys.readouterr()
+    trace_report = _load_tool("trace_report")
+    assert trace_report.main([str(obs_dir), "--format", "json"]) == 0
+    document = json.loads(capsys.readouterr().out)
+    assert trace_report.main([str(obs_dir)]) == 0
+    text = capsys.readouterr().out
+    out = tmp_path / "dash.html"
+    assert obs_dashboard.main(
+        [str(obs_dir), "--history", str(tmp_path / "absent.jsonl"),
+         "--out", str(out)]
+    ) == 0
+    page = out.read_text()
+
+    attribution = document["requests"]["miss_attribution"]
+    assert attribution  # the node kill makes requests miss
+    for cause, count in attribution.items():
+        assert re.search(rf"^{cause} +{count} ", text, re.M)
+        assert f"<tr><td>{cause}</td><td>{count}</td>" in page
+
+    per_node = document["fleet"]["per_node"]
+    assert len(per_node) == 3
+    heat = page.split("<h3>shard calls (node x shard)</h3>")[1].split("</table>")[0]
+    for node, stats in per_node.items():
+        assert re.search(rf"^node{node} +{stats['attempts']} ", text, re.M)
+        # The heat map counts the request log's shard calls; a node's row
+        # sums to the attempts its fleet.attempt spans record.
+        row = re.search(rf"<tr><td>node{node}</td>(.*?)</tr>", heat).group(1)
+        calls = [int(c) for c in re.findall(r">(\d+)</td>", row)]
+        assert sum(calls) == stats["attempts"]

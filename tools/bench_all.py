@@ -35,7 +35,8 @@ The suite:
 Records validate against ``$defs.bench_record`` in
 ``tools/trace_schema.json``; ``tools/bench_gate.py`` compares the two
 newest records and fails CI on a regression, and
-``tools/obs_dashboard.py`` renders the trajectory.
+``tools/obs_dashboard.py DIR --history BENCH_history.jsonl`` renders the
+trajectory next to an observation directory's views.
 """
 
 from __future__ import annotations

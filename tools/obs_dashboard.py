@@ -1,35 +1,35 @@
-"""Render the observatory into one self-contained HTML page (stdlib only).
+"""Render an observation directory into one self-contained HTML page.
 
-Pulls together the three offline telemetry artifacts and writes a single
-file with no external assets — CI uploads it as the build's performance
-dashboard::
+Stdlib only, no external assets — CI uploads the page as the build's
+performance dashboard::
 
-    PYTHONPATH=src python tools/obs_dashboard.py \\
-        --history BENCH_history.jsonl --metrics m.jsonl \\
-        --request-log req.jsonl --out dashboard.html
+    PYTHONPATH=src python tools/obs_dashboard.py DIR \\
+        --history BENCH_history.jsonl --out dashboard.html
 
-Sections (each present only when its input is given):
+``DIR`` is what ``repro-experiment ... --obs DIR`` wrote; the page renders
+the view document of :mod:`repro.obs.view` (the one ``trace_report
+--format json`` prints).  Sections (each present only when its stream is):
 
-* **benchmark trajectories** — one row per benchmark in the history:
-  inline-SVG sparkline over all records, latest value, and delta vs the
-  previous record (colored by whether it moved in the worse direction);
-* **CPI stacks** — the per-stage cycle breakdown from a metrics JSONL;
-* **SLA-miss attribution** — the request-log miss causes as a bar table;
+* **benchmark trajectories** (``--history``) — one row per benchmark in
+  the history: inline-SVG sparkline over all records, latest value, and
+  delta vs the previous record (colored by whether it moved in the worse
+  direction);
+* **CPI stacks** (metrics) — the per-stage cycle breakdown;
+* **SLA-miss attribution** (request log) — the miss causes as a bar table;
 * **fleet view** (cluster request logs) — per-node health timelines from
   the windowed drift detectors, the shard x node call heat map, and
   latency percentiles (blank, not NaN, when no request completed);
-* **error budget** (``--slo-log``) — per-SLO budget-remaining sparkline,
+* **error budget** (SLO log) — per-SLO budget-remaining sparkline,
   burn-rate peak, and the fired burn/detector alerts;
-* **critical path** (``--critpath-log``) — per-scope latency attribution
-  bars ("where does p99 go") and the counterfactual what-if prediction
-  table with its validation verdicts.
+* **critical path** (critpath log) — per-scope latency attribution bars
+  ("where does p99 go") and the counterfactual what-if prediction table
+  with its validation verdicts.
 """
 
 from __future__ import annotations
 
 import argparse
 import html
-import json
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -37,10 +37,8 @@ from typing import Dict, List, Optional
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.obs import sink, view  # noqa: E402
 from repro.obs.cpi import CPI_BUCKETS  # noqa: E402
-from repro.obs.regress import load_history  # noqa: E402
-from repro.obs.requests import load_request_log, miss_attribution  # noqa: E402
-from repro.obs.slo import FleetMonitor, node_window_stats  # noqa: E402
 
 __all__ = ["main", "render"]
 
@@ -84,80 +82,53 @@ def _sparkline(values: List[float], width: int = 120, height: int = 24) -> str:
     )
 
 
-def _bench_section(history: List[Dict[str, object]]) -> str:
+
+def _bench_section(history: Dict[str, object]) -> str:
     """Per-benchmark trajectory rows from the full history."""
-    if not history:
+    if not history["records"]:
         return "<h2>benchmark trajectories</h2><p class='note'>no records</p>"
-    series: Dict[str, List[float]] = {}
-    meta: Dict[str, Dict[str, object]] = {}
-    for record in history:
-        for name, bench in record.get("benchmarks", {}).items():
-            series.setdefault(name, []).append(float(bench["value"]))
-            meta[name] = bench
     rows = []
-    for name in sorted(series):
-        values = series[name]
-        bench = meta[name]
+    for bench in history["benchmarks"]:  # type: ignore[union-attr]
+        values = bench["values"]
         latest = values[-1]
         if len(values) >= 2 and values[-2] != 0:
             delta = (latest - values[-2]) / abs(values[-2])
-            worse = delta > 0 if bench.get("direction") == "lower" else delta < 0
+            worse = delta > 0 if bench["direction"] == "lower" else delta < 0
             cls = "flat" if abs(delta) < 1e-9 else ("worse" if worse else "better")
             delta_cell = f'<td class="{cls}">{delta:+.1%}</td>'
         else:
             delta_cell = '<td class="flat">—</td>'
         rows.append(
             "<tr>"
-            f"<td>{html.escape(name)}</td>"
+            f"<td>{html.escape(bench['name'])}</td>"
             f"<td>{_sparkline(values)}</td>"
-            f"<td>{latest:,.4g}&nbsp;{html.escape(str(bench.get('unit', '')))}</td>"
+            f"<td>{latest:,.4g}&nbsp;{html.escape(str(bench['unit']))}</td>"
             f"{delta_cell}"
-            f"<td class='note'>{html.escape(str(bench.get('kind', '')))}</td>"
+            f"<td class='note'>{html.escape(str(bench['kind']))}</td>"
             "</tr>"
         )
     return (
-        f"<h2>benchmark trajectories ({len(history)} record(s))</h2>"
+        f"<h2>benchmark trajectories ({history['records']} record(s))</h2>"
         "<table><tr><th>benchmark</th><th>trend</th><th>latest</th>"
         "<th>delta</th><th>kind</th></tr>" + "".join(rows) + "</table>"
     )
 
 
-def _cpi_section(metrics_path: Path) -> str:
-    """Per-stage CPI stacks parsed from a metrics JSONL export."""
-    cycles: Dict[str, float] = {}
-    buckets: Dict[str, Dict[str, float]] = {}
-    with open(metrics_path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            stage = rec.get("labels", {}).get("stage")
-            if stage is None:
-                continue
-            name = rec.get("name", "")
-            if name == "core.cycles":
-                cycles[stage] = float(rec.get("value", 0.0))
-            elif name.startswith("core.cpi."):
-                buckets.setdefault(stage, {})[name[len("core.cpi."):]] = float(
-                    rec.get("value", 0.0)
-                )
-    if not cycles:
+def _cpi_section(cpi: List[dict]) -> str:
+    """Per-stage CPI stacks as bucket-share bars."""
+    if not cpi:
         return "<h2>CPI stacks</h2><p class='note'>no core cycles recorded</p>"
     header = "".join(f"<th>{html.escape(b)}</th>" for b in CPI_BUCKETS)
     rows = []
-    for stage, total in sorted(cycles.items(), key=lambda kv: -kv[1]):
-        cells = []
-        for bucket in CPI_BUCKETS:
-            frac = buckets.get(stage, {}).get(bucket, 0.0) / total if total else 0.0
-            cells.append(
-                f"<td><span class='bar' style='width:{60 * frac:.0f}px'></span>"
-                f" {frac:.0%}</td>"
-            )
+    for stack in cpi:
+        cells = "".join(
+            f"<td><span class='bar' style='width:{60 * frac:.0f}px'></span>"
+            f" {frac:.0%}</td>"
+            for frac in (stack["fractions"][b] for b in CPI_BUCKETS)
+        )
         rows.append(
-            f"<tr><td>{html.escape(stage)}</td><td>{total:,.0f}</td>"
-            + "".join(cells)
-            + "</tr>"
+            f"<tr><td>{html.escape(stack['stage'])}</td>"
+            f"<td>{stack['cycles']:,.0f}</td>{cells}</tr>"
         )
     return (
         "<h2>CPI stacks</h2>"
@@ -167,35 +138,28 @@ def _cpi_section(metrics_path: Path) -> str:
     )
 
 
-def _requests_section(request_log_path: Path) -> str:
-    """SLA-miss attribution table from a request-log export."""
-    meta, records = load_request_log(request_log_path)
-    attribution = miss_attribution(records)
+def _requests_section(requests: Dict[str, object]) -> str:
+    """SLA-miss attribution table of a request log."""
+    meta: dict = requests["meta"]  # type: ignore[assignment]
+    totals: dict = requests["totals"]  # type: ignore[assignment]
     head = (
         f"<h2>SLA-miss attribution</h2>"
         f"<p class='note'>{meta.get('runs', '?')} run(s), "
-        f"{meta.get('requests', len(records))} request(s), "
+        f"{meta.get('requests', requests['records'])} request(s), "
         f"{meta.get('dropped', 0)} dropped</p>"
     )
-    failovers = sum(int(r.get("failovers", 0) or 0) for r in records)
-    hedges = sum(int(r.get("hedges", 0) or 0) for r in records)
-    wasted = sum(int(r.get("hedges_wasted", 0) or 0) for r in records)
-    degraded = sum(1 for r in records if r.get("outcome") == "degraded")
-    if failovers or hedges or degraded:
+    if totals["failovers"] or totals["hedges"] or totals["degraded"]:
         head += (
-            f"<p class='note'>fleet: {failovers} failover(s), "
-            f"{hedges} hedge(s) ({wasted} wasted), "
-            f"{degraded} degraded (partial) result(s)</p>"
+            f"<p class='note'>fleet: {totals['failovers']} failover(s), "
+            f"{totals['hedges']} hedge(s) ({totals['hedges_wasted']} wasted), "
+            f"{totals['degraded']} degraded (partial) result(s)</p>"
         )
+    attribution: Dict[str, int] = requests["miss_attribution"]  # type: ignore[assignment]
     if not attribution:
         return head + "<p class='note'>every request met its deadline</p>"
     total = sum(attribution.values())
     rows = []
-    # Stable render order (matches trace_report): biggest cause first,
-    # name breaks ties.
-    for cause, count in sorted(
-        attribution.items(), key=lambda kv: (-kv[1], kv[0])
-    ):
+    for cause, count in attribution.items():
         frac = count / total
         rows.append(
             f"<tr><td>{html.escape(cause)}</td><td>{count}</td>"
@@ -218,53 +182,18 @@ _HEALTH_COLORS = {
     "bad": "#b62324",
 }
 
-#: Timeline resolution of the dashboard fleet view (windows per run).
-_FLEET_WINDOWS = 60
 
-
-def _percentile(sorted_values: List[float], q: float) -> float:
-    """Linear-interpolation percentile of a pre-sorted list."""
-    rank = (len(sorted_values) - 1) * (q / 100.0)
-    lo = int(rank)
-    hi = min(lo + 1, len(sorted_values) - 1)
-    return sorted_values[lo] + (sorted_values[hi] - sorted_values[lo]) * (rank - lo)
-
-
-def _fleet_section(records: List[Dict[str, object]]) -> str:
-    """Per-node health timelines + shard heat map for a cluster log.
-
-    Only renders for logs whose records carry per-node shard-call events
-    (single-box logs have no node identity).  A run where *no* request
-    completed renders blank percentile cells, never NaN — shed/failed
-    records still feed the health timelines.
-    """
-    nodes = sorted(
-        {
-            int(ev["node"])
-            for rec in records
-            for ev in rec.get("events", [])  # type: ignore[union-attr]
-            if ev.get("node") is not None
-            and ev.get("kind") in ("shard_call", "call_ok", "call_failed")
-        }
-    )
-    if not nodes:
-        return ""
-    num_nodes = max(nodes) + 1
-    horizon = max(
-        (float(rec.get("end_ms", 0.0) or 0.0) for rec in records), default=0.0
-    )
+def _fleet_section(cluster: Dict[str, object], latency: Dict[str, object]) -> str:
+    """Per-node health timelines + shard heat map of a cluster log."""
     out = ["<h2>fleet view</h2>"]
-
-    if horizon > 0:
-        window_ms = horizon / _FLEET_WINDOWS
-        monitor = FleetMonitor(num_nodes)
-        monitor.run(node_window_stats(records, window_ms, horizon), window_ms)
+    health: Optional[dict] = cluster["health"]  # type: ignore[assignment]
+    if health is not None:
         rows = []
-        for n in range(num_nodes):
+        for n, states in enumerate(health["states"]):
             cells = "".join(
-                f"<td style='background:{_HEALTH_COLORS[states[n]]};"
+                f"<td style='background:{_HEALTH_COLORS[state]};"
                 "padding:.1em .25em'></td>"
-                for states in monitor.node_states
+                for state in states
             )
             rows.append(f"<tr><td>node{n}</td>{cells}</tr>")
         legend = " ".join(
@@ -272,54 +201,38 @@ def _fleet_section(records: List[Dict[str, object]]) -> str:
             for state, color in _HEALTH_COLORS.items()
         )
         out.append(
-            f"<h3>node health ({_FLEET_WINDOWS} windows of "
-            f"{window_ms:,.1f} ms)</h3>"
+            f"<h3>node health ({view.HEALTH_WINDOWS} windows of "
+            f"{health['window_ms']:,.1f} ms)</h3>"
             f"<p class='note'>{legend} &mdash; drift detectors on windowed "
             "error rate (bad) and ok-call latency (warn)</p>"
             "<table>" + "".join(rows) + "</table>"
         )
 
-    calls: Dict[tuple, int] = {}
-    shards = set()
-    for rec in records:
-        for ev in rec.get("events", []):  # type: ignore[union-attr]
-            if ev.get("kind") != "shard_call" or ev.get("node") is None:
-                continue
-            key = (int(ev["node"]), int(ev.get("shard", -1)))
-            shards.add(key[1])
-            calls[key] = calls.get(key, 0) + 1
-    if calls:
-        shard_cols = sorted(shards)
-        peak = max(calls.values())
-        header = "".join(f"<th>s{s}</th>" for s in shard_cols)
+    shards: List[int] = cluster["shards"]  # type: ignore[assignment]
+    if shards:
+        matrix: List[List[int]] = cluster["shard_calls"]  # type: ignore[assignment]
+        peak = max(max(row) for row in matrix)
+        header = "".join(f"<th>s{s}</th>" for s in shards)
         rows = []
-        for n in nodes:
-            cells = []
-            for s in shard_cols:
-                count = calls.get((n, s), 0)
-                alpha = count / peak if peak else 0.0
-                cells.append(
-                    f"<td style='background:rgba(31,111,235,{alpha:.2f})'>"
-                    f"{count or ''}</td>"
-                )
-            rows.append(f"<tr><td>node{n}</td>{''.join(cells)}</tr>")
+        for n, counts in zip(cluster["nodes"], matrix):  # type: ignore[call-overload]
+            cells = "".join(
+                f"<td style='background:rgba(31,111,235,{count / peak:.2f})'>"
+                f"{count or ''}</td>"
+                for count in counts
+            )
+            rows.append(f"<tr><td>node{n}</td>{cells}</tr>")
         out.append(
             "<h3>shard calls (node x shard)</h3>"
             "<table><tr><th></th>" + header + "</tr>" + "".join(rows)
             + "</table>"
         )
 
-    latencies = sorted(
-        float(rec["latency_ms"])  # type: ignore[arg-type]
-        for rec in records
-        if rec.get("latency_ms") is not None
-    )
-    if latencies:
+    if latency["completed"]:
         out.append(
-            f"<p class='note'>completed latency over {len(latencies):,} "
-            f"request(s): p50 {_percentile(latencies, 50.0):,.2f} ms, "
-            f"p95 {_percentile(latencies, 95.0):,.2f} ms, "
-            f"p99 {_percentile(latencies, 99.0):,.2f} ms</p>"
+            f"<p class='note'>completed latency over {latency['completed']:,} "
+            f"request(s): p50 {latency['p50']:,.2f} ms, "
+            f"p95 {latency['p95']:,.2f} ms, "
+            f"p99 {latency['p99']:,.2f} ms</p>"
         )
     else:
         out.append(
@@ -329,43 +242,23 @@ def _fleet_section(records: List[Dict[str, object]]) -> str:
     return "".join(out)
 
 
-def _slo_section(slo_log_path: Path) -> str:
-    """Error-budget trajectories and alerts from an --slo-log export."""
-    states: Dict[tuple, List[Dict[str, object]]] = {}
-    alerts: List[Dict[str, object]] = []
-    with open(slo_log_path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if rec.get("kind") == "slo_state":
-                key = (str(rec.get("scenario", "")), str(rec.get("slo", "")))
-                states.setdefault(key, []).append(rec)
-            elif rec.get("kind") == "alert":
-                alerts.append(rec)
-    if not states and not alerts:
+def _slo_section(slo: Dict[str, object]) -> str:
+    """Error-budget trajectories and fired alerts of an SLO log."""
+    budgets: List[dict] = slo["budgets"]  # type: ignore[assignment]
+    firing: List[dict] = slo["alerts"]  # type: ignore[assignment]
+    if not budgets and not firing:
         return "<h2>error budget</h2><p class='note'>empty SLO log</p>"
     out = ["<h2>error budget</h2>"]
     rows = []
-    for (scenario, slo), series in sorted(states.items()):
-        budget = [float(s.get("budget_remaining", 1.0)) for s in series]
-        burn_peak = max(float(s.get("burn_rate", 0.0)) for s in series)
-        fired = sum(
-            1
-            for a in alerts
-            if a.get("state") == "firing"
-            and str(a.get("scenario", "")) == scenario
-            and str(a.get("name", "")).startswith(f"{slo}:")
-        )
-        final = budget[-1] if budget else 1.0
+    for b in budgets:
+        final = b["budget_final"]
         cls = "worse" if final < 0 else ("better" if final >= 0.99 else "flat")
         rows.append(
             "<tr>"
-            f"<td>{html.escape(scenario)}</td><td>{html.escape(slo)}</td>"
-            f"<td>{_sparkline(budget)}</td>"
+            f"<td>{html.escape(b['scenario'])}</td><td>{html.escape(b['slo'])}</td>"
+            f"<td>{_sparkline(b['budget_series'])}</td>"
             f"<td class='{cls}'>{final:+.3f}</td>"
-            f"<td>{burn_peak:,.1f}</td><td>{fired}</td>"
+            f"<td>{b['peak_burn']:,.1f}</td><td>{b['alerts']}</td>"
             "</tr>"
         )
     if rows:
@@ -374,7 +267,6 @@ def _slo_section(slo_log_path: Path) -> str:
             "<th>budget remaining</th><th>final</th><th>peak burn</th>"
             "<th>alerts</th></tr>" + "".join(rows) + "</table>"
         )
-    firing = [a for a in alerts if a.get("state") == "firing"]
     if firing:
         alert_rows = "".join(
             "<tr>"
@@ -409,20 +301,10 @@ _SEGMENT_COLORS = {
 }
 
 
-def _critpath_section(critpath_log_path: Path) -> str:
-    """Attribution bars + what-if table from a --critpath-log export."""
-    profiles: List[Dict[str, object]] = []
-    whatifs: List[Dict[str, object]] = []
-    with open(critpath_log_path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if rec.get("kind") == "critpath_profile":
-                profiles.append(rec)
-            elif rec.get("kind") == "whatif":
-                whatifs.append(rec)
+def _critpath_section(critpath: Dict[str, object]) -> str:
+    """Attribution bars + what-if table of a critpath log."""
+    profiles: List[dict] = critpath["profiles"]  # type: ignore[assignment]
+    whatifs: List[dict] = critpath["whatif"]  # type: ignore[assignment]
     if not profiles and not whatifs:
         return "<h2>critical path</h2><p class='note'>empty critpath log</p>"
     out = ["<h2>critical path</h2>"]
@@ -438,14 +320,13 @@ def _critpath_section(critpath_log_path: Path) -> str:
             # fleet-wide and tail breakdowns.
             if not (scope == "overall" or scope.startswith("tail_")):
                 continue
-            segments: Dict[str, float] = prof.get("segments", {})  # type: ignore[assignment]
             total = float(prof.get("total_ms", 0.0))
             cells = "".join(
                 f"<span class='bar' style='background:"
                 f"{_SEGMENT_COLORS.get(kind, '#2a3038')};"
                 f"width:{240.0 * dur / total:.0f}px' title='{html.escape(kind)}"
                 f" {dur:,.1f} ms'></span>"
-                for kind, dur in sorted(segments.items(), key=lambda kv: -kv[1])
+                for kind, dur in prof["ranked_segments"]
                 if total > 0 and dur > 0
             )
             rows.append(
@@ -494,29 +375,22 @@ def _critpath_section(critpath_log_path: Path) -> str:
     return "".join(out)
 
 
-def render(
-    history_path: Optional[Path],
-    metrics_path: Optional[Path],
-    request_log_path: Optional[Path],
-    slo_log_path: Optional[Path] = None,
-    critpath_log_path: Optional[Path] = None,
-) -> str:
-    """The full dashboard HTML document."""
+def render(document: Dict[str, object]) -> str:
+    """The dashboard HTML page of a :func:`repro.obs.view.build` document."""
     sections: List[str] = []
-    if history_path is not None and history_path.exists():
-        sections.append(_bench_section(load_history(history_path)))
-    if metrics_path is not None and metrics_path.exists():
-        sections.append(_cpi_section(metrics_path))
-    if request_log_path is not None and request_log_path.exists():
-        sections.append(_requests_section(request_log_path))
-        _, records = load_request_log(request_log_path)
-        fleet = _fleet_section(records)
-        if fleet:
-            sections.append(fleet)
-    if slo_log_path is not None and slo_log_path.exists():
-        sections.append(_slo_section(slo_log_path))
-    if critpath_log_path is not None and critpath_log_path.exists():
-        sections.append(_critpath_section(critpath_log_path))
+    if "history" in document:
+        sections.append(_bench_section(document["history"]))  # type: ignore[arg-type]
+    if "cpi" in document:
+        sections.append(_cpi_section(document["cpi"]))  # type: ignore[arg-type]
+    if "requests" in document:
+        requests: dict = document["requests"]  # type: ignore[assignment]
+        sections.append(_requests_section(requests))
+        if requests["cluster"] is not None:
+            sections.append(_fleet_section(requests["cluster"], requests["latency"]))
+    if "slo" in document:
+        sections.append(_slo_section(document["slo"]))  # type: ignore[arg-type]
+    if "critpath_log" in document:
+        sections.append(_critpath_section(document["critpath_log"]))  # type: ignore[arg-type]
     if not sections:
         sections.append("<p class='note'>no artifacts given</p>")
     return (
@@ -532,35 +406,19 @@ def render(
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
+        "obs_dir", type=Path, metavar="DIR",
+        help="observation directory written by repro-experiment --obs",
+    )
+    parser.add_argument(
         "--history", type=Path, default=DEFAULT_HISTORY,
         help=f"benchmark history JSONL (default {DEFAULT_HISTORY.name})",
-    )
-    parser.add_argument(
-        "--metrics", type=Path, default=None,
-        help="metrics JSONL from repro-experiment --metrics",
-    )
-    parser.add_argument(
-        "--request-log", type=Path, default=None,
-        help="request-log JSONL from repro-experiment --request-log",
-    )
-    parser.add_argument(
-        "--slo-log", type=Path, default=None,
-        help="SLO state/alert JSONL from repro-experiment --slo-log",
-    )
-    parser.add_argument(
-        "--critpath-log", type=Path, default=None,
-        help="critical-path/what-if JSONL from repro-experiment "
-        "--critpath-log",
     )
     parser.add_argument(
         "--out", type=Path, default=Path("dashboard.html"),
         help="output HTML file (default dashboard.html)",
     )
     args = parser.parse_args(argv)
-    page = render(
-        args.history, args.metrics, args.request_log, args.slo_log,
-        args.critpath_log,
-    )
+    page = render(view.build(sink.read(args.obs_dir), history=args.history))
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(page)
     print(f"wrote {args.out} ({len(page):,} bytes)")

@@ -1,41 +1,37 @@
-"""Summarize repro.obs artifacts: traces, metrics, and request logs.
+"""Summarize an observation directory: trace, metrics, request/SLO/critpath logs.
 
-The offline half of the telemetry layer — point it at the files written by
-``repro-experiment --trace/--metrics/--request-log`` and it prints the
-VTune-style summary views::
+The offline half of the telemetry layer — point it at the directory
+written by ``repro-experiment ... --obs DIR`` and it prints the
+VTune-style summary views of every stream present::
 
-    PYTHONPATH=src python tools/trace_report.py t.json
-    PYTHONPATH=src python tools/trace_report.py t.json --metrics m.jsonl
-    PYTHONPATH=src python tools/trace_report.py t.json --top 20 --validate
-    PYTHONPATH=src python tools/trace_report.py --requests req.jsonl
+    PYTHONPATH=src python tools/trace_report.py DIR
+    PYTHONPATH=src python tools/trace_report.py DIR --top 20 --validate
+    PYTHONPATH=src python tools/trace_report.py DIR --format json
 
-Views:
+Views (see :mod:`repro.obs.sink` for the file names):
 
 * **top spans** — the N longest simulated spans (cycles), the first thing
   to look at when asking "where did the time go";
 * **by name** — aggregate cycles/count per span name across all tracks;
 * **wall spans** — real elapsed time of orchestration code;
-* with ``--metrics``: the per-stage CPI stack table and every latency
+* **fleet** — request outcomes, per-node attempt/hedge accounting, router
+  decision counts, and the slowest request span envelopes, from the
+  ``fleet.*`` spans a traced cluster run emits;
+* **metrics**: the per-stage CPI stack table and every latency
   histogram's count/mean/p50/p95/p99;
-* with ``--requests``: the slowest-N request timelines (every lifecycle
-  event, simulated ms) and the SLA-miss attribution table — queueing vs
-  slow service vs faults vs retries vs admission control;
-* with ``--fleet``: the fleet view of a cluster trace — request
-  outcomes, per-node attempt/hedge accounting, router decision counts,
-  and the slowest request span envelopes (from the ``fleet.*`` spans a
-  traced cluster run emits);
-* with ``--critpath``: critical-path attribution computed from the
-  ``--requests`` log — per-scope "where does the time go" profiles
-  (overall, p99 tail, per node/shard) and the conservation check;
-* with ``--critpath-log``: the profiles and what-if predictions an
-  experiment exported (``repro-experiment critpath_observatory
-  --critpath-log``), validated against ``$defs.critpath_record`` /
-  ``$defs.whatif_record`` under ``--validate``;
-* ``--format json`` emits every requested view as one machine-readable
-  JSON document instead of text tables;
-* ``--validate`` checks the trace against ``tools/trace_schema.json``
-  and each request-log line against its ``$defs.request_event`` (exit 1
-  on violations) — CI runs this on fresh smoke artifacts.
+* **request log**: the slowest-N request timelines (every lifecycle event,
+  simulated ms) and the SLA-miss attribution table — queueing vs slow
+  service vs faults vs retries vs admission control — then critical-path
+  attribution computed from it: per-scope "where does the time go"
+  profiles (overall, p99 tail, per node/shard) and the conservation check;
+* **SLO log**: per-SLO error budgets and the fired alerts;
+* **critpath log**: the profiles and what-if predictions an experiment
+  exported (``critpath_observatory``).
+
+``--format json`` prints the view document of :mod:`repro.obs.view` — the
+one the text tables render — instead of text.  ``--validate`` checks every
+stream against ``tools/trace_schema.json`` (exit 1 on violations) — CI
+runs this on fresh smoke artifacts.
 """
 
 from __future__ import annotations
@@ -43,59 +39,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import defaultdict
 from pathlib import Path
 from typing import Dict, List, Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.obs.cpi import CPI_BUCKETS, CpiStack, format_cpi_table  # noqa: E402
-from repro.obs.critpath import (  # noqa: E402
-    check_conservation,
-    extract_paths,
-    aggregate_profiles,
-)
-from repro.obs.requests import (  # noqa: E402
-    attribute_miss,
-    load_request_log,
-    miss_attribution,
-)
-from repro.obs.schema import validate, validate_def  # noqa: E402
+from repro.obs import sink, view  # noqa: E402
+from repro.obs.cpi import CpiStack, format_cpi_table  # noqa: E402
 
-__all__ = [
-    "main",
-    "load_trace",
-    "summarize",
-    "summarize_critpath",
-    "summarize_fleet",
-    "summarize_requests",
-    "summarize_slo",
-]
+__all__ = ["main", "render_text"]
 
 SCHEMA_PATH = REPO_ROOT / "tools" / "trace_schema.json"
-
-
-def load_trace(path: Path) -> dict:
-    """Read a Chrome-trace JSON file."""
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _sim_spans(trace: dict) -> List[dict]:
-    """Simulated-time spans: pid 2 complete events, excluding track metadata."""
-    return [
-        e
-        for e in trace.get("traceEvents", [])
-        if e.get("ph") == "X" and e.get("pid") == 2 and e.get("cat") != "sim.meta"
-    ]
-
-
-def _wall_spans(trace: dict) -> List[dict]:
-    """Wall-clock spans: pid 1 complete events."""
-    return [
-        e for e in trace.get("traceEvents", []) if e.get("ph") == "X" and e.get("pid") == 1
-    ]
 
 
 def _table(header: List[str], rows: List[List[str]]) -> str:
@@ -116,113 +71,136 @@ def _table(header: List[str], rows: List[List[str]]) -> str:
     return "\n".join(out)
 
 
-def summarize(trace: dict, top: int = 10) -> str:
-    """The text report for one trace dict."""
-    sections: List[str] = []
-    sim = _sim_spans(trace)
-    wall = _wall_spans(trace)
-    dropped = trace.get("otherData", {}).get("dropped_events", 0)
+def _or(value: object, default: str) -> str:
+    """``value`` as text, ``default`` when absent."""
+    return default if value is None else str(value)
 
-    sections.append(
-        f"trace: {len(sim)} sim spans, {len(wall)} wall spans, "
-        f"{dropped} dropped"
-    )
 
-    if sim:
-        by_dur = sorted(sim, key=lambda e: e.get("dur", 0.0), reverse=True)[:top]
+def _fmt_ms(value: object) -> str:
+    """Milliseconds for the timeline tables; '-' for absent values."""
+    if value is None:
+        return "-"
+    return f"{float(value):,.2f}"
+
+
+def _trace_text(trace: dict) -> str:
+    sections = [
+        f"trace: {trace['sim_spans']} sim spans, {trace['wall_spans']} wall spans, "
+        f"{trace['dropped']} dropped"
+    ]
+    if trace["sim_spans"]:
         rows = [
             [
-                str(e.get("name", "?")),
-                str(e.get("cat", "")),
-                str(e.get("tid", 0)),
-                f"{e.get('ts', 0.0):,.0f}",
-                f"{e.get('dur', 0.0):,.0f}",
+                _or(e["name"], "?"),
+                _or(e["category"], ""),
+                _or(e["tid"], "0"),
+                f"{e['start']:,.0f}",
+                f"{e['cycles']:,.0f}",
             ]
-            for e in by_dur
+            for e in trace["top_sim_spans"]
         ]
         sections.append(
             f"== top {len(rows)} sim spans by cycles ==\n"
             + _table(["name", "category", "tid", "start_cycles", "cycles"], rows)
         )
-
-        agg: Dict[str, List[float]] = defaultdict(lambda: [0.0, 0])
-        for e in sim:
-            entry = agg[str(e.get("name", "?"))]
-            entry[0] += float(e.get("dur", 0.0))
-            entry[1] += 1
         agg_rows = [
-            [name, f"{total:,.0f}", str(int(count))]
-            for name, (total, count) in sorted(
-                agg.items(), key=lambda kv: kv[1][0], reverse=True
-            )[:top]
+            [e["name"], f"{e['total_cycles']:,.0f}", str(e["spans"])]
+            for e in trace["by_name"]
         ]
         sections.append(
             "== sim cycles by span name ==\n"
             + _table(["name", "total_cycles", "spans"], agg_rows)
         )
-
-    if wall:
+    if trace["wall_spans"]:
         wall_rows = [
-            [
-                str(e.get("name", "?")),
-                f"{e.get('dur', 0.0) / 1000.0:,.1f}",
-                str(e.get("args", {}).get("depth", "")),
-            ]
-            for e in sorted(wall, key=lambda e: e.get("dur", 0.0), reverse=True)[:top]
+            [_or(e["name"], "?"), f"{e['ms']:,.1f}", _or(e["depth"], "")]
+            for e in trace["wall"]
         ]
         sections.append(
             "== wall spans (ms) ==\n" + _table(["name", "ms", "depth"], wall_rows)
         )
-
     return "\n\n".join(sections)
 
 
-def load_metrics(path: Path) -> List[dict]:
-    """Read a metrics JSONL file (one metric record per line)."""
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
-def summarize_metrics(records: List[dict]) -> str:
-    """CPI stacks and histogram summaries from exported metric records."""
-    sections: List[str] = []
-
-    cycles: Dict[str, float] = {}
-    buckets: Dict[str, Dict[str, float]] = defaultdict(dict)
-    for rec in records:
-        name, labels = rec.get("name", ""), rec.get("labels", {})
-        stage = labels.get("stage")
-        if stage is None:
-            continue
-        if name == "core.cycles":
-            cycles[stage] = float(rec.get("value", 0.0))
-        elif name.startswith("core.cpi."):
-            buckets[stage][name[len("core.cpi."):]] = float(rec.get("value", 0.0))
-    if cycles:
-        stacks = [
-            CpiStack(stage, total, {b: buckets[stage].get(b, 0.0) for b in CPI_BUCKETS})
-            for stage, total in cycles.items()
+def _fleet_text(fleet: dict) -> str:
+    if not fleet["spans"]:
+        # Worded as it always was, so reports stay diffable across versions.
+        return (
+            "fleet: no fleet spans in this trace "
+            "(run a cluster experiment with --trace)"
+        )
+    sections = [
+        f"fleet: {fleet['requests']} request(s), {fleet['attempts']} attempt(s), "
+        f"{fleet['routes']} route decision(s)",
+        "== request outcomes ==\n"
+        + _table(
+            ["outcome", "requests"],
+            [[name, str(count)] for name, count in fleet["outcomes"].items()],
+        ),
+    ]
+    node_rows = [
+        [
+            f"node{node}",
+            str(int(s["attempts"])),
+            str(int(s["ok"])),
+            str(int(s["failed"])),
+            str(int(s["hedges"])),
+            str(int(s["wasted"])),
+            f"{s['ms'] / s['attempts']:,.2f}" if s["attempts"] else "-",
+            f"{s['max_ms']:,.2f}",
         ]
-        stacks.sort(key=lambda s: s.total_cycles, reverse=True)
-        sections.append("== CPI stacks ==\n" + format_cpi_table(stacks))
+        for node, s in fleet["per_node"].items()
+    ]
+    sections.append(
+        "== per-node attempts ==\n"
+        + _table(
+            ["node", "attempts", "ok", "failed", "hedged", "wasted",
+             "mean_ms", "max_ms"],
+            node_rows,
+        )
+    )
+    sections.append(
+        "== router decisions ==\n"
+        + _table(
+            ["reason", "decisions", "no_replica"],
+            [
+                [reason, str(r["decisions"]), str(r["no_replica"])]
+                for reason, r in fleet["router"].items()
+            ],
+        )
+    )
+    slow_rows = [
+        [
+            _or(e["span_id"], "?"),
+            _or(e["outcome"], "?"),
+            f"{e['start_ms']:,.2f}",
+            f"{e['ms']:,.2f}",
+        ]
+        for e in fleet["slowest"]
+    ]
+    sections.append(
+        f"== slowest {len(slow_rows)} requests (span envelope, ms) ==\n"
+        + _table(["span_id", "outcome", "start_ms", "ms"], slow_rows)
+    )
+    return "\n\n".join(sections)
 
+
+def _metrics_text(records: List[dict], cpi: List[dict]) -> str:
+    sections: List[str] = []
+    if cpi:
+        stacks = [CpiStack(s["stage"], s["cycles"], s["buckets"]) for s in cpi]
+        sections.append("== CPI stacks ==\n" + format_cpi_table(stacks))
     hist_rows = []
     for rec in records:
         if rec.get("type") != "histogram" or not rec.get("count"):
             continue
         label_str = ",".join(f"{k}={v}" for k, v in sorted(rec.get("labels", {}).items()))
         display = rec["name"] + (f"{{{label_str}}}" if label_str else "")
-        mean = rec["sum"] / rec["count"]
         hist_rows.append(
             [
                 display,
                 f"{rec['count']:,}",
-                f"{mean:,.1f}",
+                f"{rec['sum'] / rec['count']:,.1f}",
                 f"{rec.get('p50', 0.0):,.1f}",
                 f"{rec.get('p95', 0.0):,.1f}",
                 f"{rec.get('p99', 0.0):,.1f}",
@@ -233,56 +211,29 @@ def summarize_metrics(records: List[dict]) -> str:
             "== latency histograms ==\n"
             + _table(["histogram", "count", "mean", "p50", "p95", "p99"], hist_rows)
         )
-
-    counters = sum(1 for r in records if r.get("type") == "counter")
-    gauges = sum(1 for r in records if r.get("type") == "gauge")
-    hists = sum(1 for r in records if r.get("type") == "histogram")
-    sections.append(f"metrics: {counters} counters, {gauges} gauges, {hists} histograms")
+    types = [r.get("type") for r in records]
+    sections.append(
+        f"metrics: {types.count('counter')} counters, {types.count('gauge')} gauges, "
+        f"{types.count('histogram')} histograms"
+    )
     return "\n\n".join(sections)
 
 
-def _fmt_ms(value: object) -> str:
-    """Milliseconds for the timeline tables; '-' for absent values."""
-    if value is None:
-        return "-"
-    return f"{float(value):,.2f}"
-
-
-def _fmt_nodes(rec: dict) -> str:
-    """The serving node(s) of one request record; '-' for a single box.
-
-    Cluster records carry the sorted node set every shard call of the
-    request touched; single-box records have no node identity.
-    """
-    nodes = rec.get("nodes")
-    if nodes:
-        return ",".join(str(n) for n in nodes)
-    if rec.get("node") is not None:
-        return str(rec["node"])
-    return "-"
-
-
-def summarize_requests(meta: dict, records: List[dict], top: int = 10) -> str:
-    """Slowest-N request timelines and the SLA-miss attribution table."""
-    sections: List[str] = []
-    sections.append(
+def _requests_text(requests: dict) -> str:
+    meta = requests["meta"]
+    sections = [
         f"request log: {meta.get('runs', '?')} run(s), "
-        f"{meta.get('requests', len(records))} request(s), "
+        f"{meta.get('requests', requests['records'])} request(s), "
         f"{meta.get('dropped', 0)} dropped"
-    )
-    if not records:
+    ]
+    if not requests["records"]:
         return sections[0]
-
-    attribution = miss_attribution(records)
+    attribution = requests["miss_attribution"]
     total_missed = sum(attribution.values())
     if attribution:
-        # Stable render order: biggest cause first, name breaks ties —
-        # independent of record order, so diffs across runs are clean.
         rows = [
             [cause, str(count), f"{100.0 * count / total_missed:.1f}%"]
-            for cause, count in sorted(
-                attribution.items(), key=lambda kv: (-kv[1], kv[0])
-            )
+            for cause, count in attribution.items()
         ]
         rows.append(["total", str(total_missed), "100.0%"])
         sections.append(
@@ -292,40 +243,29 @@ def summarize_requests(meta: dict, records: List[dict], top: int = 10) -> str:
     else:
         sections.append("SLA-miss attribution: every request met its deadline")
 
-    # Slowest timelines: completed requests by latency, then every
-    # non-completed request (whose "latency" is its time in the system).
-    def span_ms(rec: dict) -> float:
-        if rec.get("latency_ms") is not None:
-            return float(rec["latency_ms"])
-        return float(rec.get("end_ms", 0.0)) - float(rec.get("arrival_ms", 0.0))
-
-    slowest = sorted(records, key=span_ms, reverse=True)[:top]
+    slowest = requests["slowest"]
     lines: List[str] = [f"== slowest {len(slowest)} requests =="]
     for rank, rec in enumerate(slowest, 1):
-        cause = attribute_miss(rec)
         head = (
-            f"#{rank} id={rec.get('id')} label={rec.get('label')} "
-            f"outcome={rec.get('outcome')} "
-            f"in_system={span_ms(rec):,.2f}ms "
-            f"wait={_fmt_ms(rec.get('wait_ms'))}ms "
-            f"service={_fmt_ms(rec.get('service_ms'))}ms "
-            f"core={rec.get('core') if rec.get('core') is not None else '-'} "
-            f"node={_fmt_nodes(rec)} "
-            f"retries={rec.get('retries', 0)}"
+            f"#{rank} id={rec['id']} label={rec['label']} "
+            f"outcome={rec['outcome']} "
+            f"in_system={rec['in_system_ms']:,.2f}ms "
+            f"wait={_fmt_ms(rec['wait_ms'])}ms "
+            f"service={_fmt_ms(rec['service_ms'])}ms "
+            f"core={_or(rec['core'], '-')} "
+            f"node={','.join(str(n) for n in rec['nodes']) or '-'} "
+            f"retries={rec['retries']}"
         )
-        if rec.get("failovers"):
+        if rec["failovers"]:
             head += f" failovers={rec['failovers']}"
-        if rec.get("hedges"):
-            head += (
-                f" hedges={rec['hedges']}"
-                f" hedges_wasted={rec.get('hedges_wasted', 0)}"
-            )
-        if cause is not None:
-            head += f" miss_cause={cause}"
-        if rec.get("fault_windows"):
+        if rec["hedges"]:
+            head += f" hedges={rec['hedges']} hedges_wasted={rec['hedges_wasted']}"
+        if rec["miss_cause"] is not None:
+            head += f" miss_cause={rec['miss_cause']}"
+        if rec["fault_windows"]:
             head += f" faults={','.join(rec['fault_windows'])}"
         lines.append(head)
-        for event in rec.get("events", []):
+        for event in rec["events"]:
             attrs = ", ".join(
                 f"{k}={v}"
                 for k, v in event.items()
@@ -340,165 +280,20 @@ def summarize_requests(meta: dict, records: List[dict], top: int = 10) -> str:
     return "\n\n".join(sections)
 
 
-def _fleet_spans(trace: dict) -> List[dict]:
-    """Fleet-trace spans (categories ``fleet.*``) from a Chrome trace."""
-    return [
-        e
-        for e in trace.get("traceEvents", [])
-        if e.get("ph") == "X" and str(e.get("cat", "")).startswith("fleet.")
-    ]
-
-
-def summarize_fleet(trace: dict, top: int = 10) -> str:
-    """Fleet view of a cluster trace: per-node attempts + router behaviour.
-
-    Everything comes from the merged span forest the cluster emitted
-    (``fleet.request`` / ``fleet.gather`` / ``fleet.route`` /
-    ``fleet.attempt`` categories), so the table is exactly the span tree
-    a distributed tracer would show — outcomes per node, hedge win/waste
-    accounting, and why the router was consulted.
-    """
-    spans = _fleet_spans(trace)
-    if not spans:
-        return (
-            "fleet: no fleet spans in this trace "
-            "(run a cluster experiment with --trace)"
-        )
-    requests = [e for e in spans if e.get("cat") == "fleet.request"]
-    attempts = [e for e in spans if e.get("cat") == "fleet.attempt"]
-    routes = [e for e in spans if e.get("cat") == "fleet.route"]
-    sections: List[str] = [
-        f"fleet: {len(requests)} request(s), {len(attempts)} attempt(s), "
-        f"{len(routes)} route decision(s)"
-    ]
-
-    outcomes: Dict[str, int] = defaultdict(int)
-    for e in requests:
-        outcomes[str(e.get("args", {}).get("outcome", "?"))] += 1
-    sections.append(
-        "== request outcomes ==\n"
-        + _table(
-            ["outcome", "requests"],
-            [
-                [name, str(count)]
-                for name, count in sorted(
-                    outcomes.items(), key=lambda kv: (-kv[1], kv[0])
-                )
-            ],
-        )
-    )
-
-    per_node: Dict[int, Dict[str, float]] = defaultdict(
-        lambda: {"attempts": 0, "ok": 0, "failed": 0, "hedges": 0,
-                 "wasted": 0, "ms": 0.0, "max_ms": 0.0}
-    )
-    for e in attempts:
-        args = e.get("args", {})
-        node = int(args.get("node", -1))
-        stats = per_node[node]
-        stats["attempts"] += 1
-        if args.get("outcome") == "ok":
-            stats["ok"] += 1
-            if args.get("winner") is False:
-                stats["wasted"] += 1
-        else:
-            stats["failed"] += 1
-        if args.get("hedge"):
-            stats["hedges"] += 1
-        dur = float(e.get("dur", 0.0))
-        stats["ms"] += dur
-        stats["max_ms"] = max(stats["max_ms"], dur)
-    node_rows = [
-        [
-            f"node{node}",
-            str(int(s["attempts"])),
-            str(int(s["ok"])),
-            str(int(s["failed"])),
-            str(int(s["hedges"])),
-            str(int(s["wasted"])),
-            f"{s['ms'] / s['attempts']:,.2f}" if s["attempts"] else "-",
-            f"{s['max_ms']:,.2f}",
-        ]
-        for node, s in sorted(per_node.items())
-    ]
-    sections.append(
-        "== per-node attempts ==\n"
-        + _table(
-            ["node", "attempts", "ok", "failed", "hedged", "wasted",
-             "mean_ms", "max_ms"],
-            node_rows,
-        )
-    )
-
-    reasons: Dict[str, List[int]] = defaultdict(lambda: [0, 0])
-    for e in routes:
-        args = e.get("args", {})
-        entry = reasons[str(args.get("reason", "?"))]
-        entry[0] += 1
-        if args.get("chosen") is None:
-            entry[1] += 1
-    sections.append(
-        "== router decisions ==\n"
-        + _table(
-            ["reason", "decisions", "no_replica"],
-            [
-                [reason, str(total), str(missed)]
-                for reason, (total, missed) in sorted(reasons.items())
-            ],
-        )
-    )
-
-    slowest = sorted(
-        requests, key=lambda e: float(e.get("dur", 0.0)), reverse=True
-    )[:top]
-    slow_rows = [
-        [
-            str(e.get("args", {}).get("span_id", "?")),
-            str(e.get("args", {}).get("outcome", "?")),
-            f"{float(e.get('ts', 0.0)):,.2f}",
-            f"{float(e.get('dur', 0.0)):,.2f}",
-        ]
-        for e in slowest
-    ]
-    sections.append(
-        f"== slowest {len(slow_rows)} requests (span envelope, ms) ==\n"
-        + _table(["span_id", "outcome", "start_ms", "ms"], slow_rows)
-    )
-    return "\n\n".join(sections)
-
-
-def summarize_slo(lines: List[dict]) -> str:
-    """Per-(scenario, SLO) budget summary + alert list from an SLO log."""
-    states: Dict[tuple, List[dict]] = defaultdict(list)
-    alerts: List[dict] = []
-    for rec in lines:
-        if rec.get("kind") == "slo_state":
-            states[
-                (str(rec.get("scenario", "")), str(rec.get("slo", "")))
-            ].append(rec)
-        elif rec.get("kind") == "alert":
-            alerts.append(rec)
+def _slo_text(slo: dict) -> str:
     sections: List[str] = []
-    if states:
-        rows = []
-        for (scenario, slo), series in sorted(states.items()):
-            fired = sum(
-                1
-                for a in alerts
-                if a.get("state") == "firing"
-                and str(a.get("scenario", "")) == scenario
-                and str(a.get("name", "")).startswith(f"{slo}:")
-            )
-            rows.append(
-                [
-                    f"{scenario}/{slo}",
-                    str(len(series)),
-                    f"{min(float(s.get('compliance', 1.0)) for s in series):.3f}",
-                    f"{max(float(s.get('burn_rate', 0.0)) for s in series):,.1f}",
-                    f"{float(series[-1].get('budget_remaining', 1.0)):+.3f}",
-                    str(fired),
-                ]
-            )
+    if slo["budgets"]:
+        rows = [
+            [
+                f"{b['scenario']}/{b['slo']}",
+                str(b["windows"]),
+                f"{b['min_compliance']:.3f}",
+                f"{b['peak_burn']:,.1f}",
+                f"{b['budget_final']:+.3f}",
+                str(b["alerts"]),
+            ]
+            for b in slo["budgets"]
+        ]
         sections.append(
             "== SLO error budgets ==\n"
             + _table(
@@ -507,7 +302,7 @@ def summarize_slo(lines: List[dict]) -> str:
                 rows,
             )
         )
-    firing = [a for a in alerts if a.get("state") == "firing"]
+    firing = slo["alerts"]
     if firing:
         rows = [
             [
@@ -515,7 +310,7 @@ def summarize_slo(lines: List[dict]) -> str:
                 str(a.get("name", "")),
                 str(a.get("source", "")),
                 f"{float(a.get('t_ms', 0.0)):,.1f}",
-                "-" if a.get("node") is None else str(a["node"]),
+                _or(a.get("node"), "-"),
             ]
             for a in firing
         ]
@@ -528,43 +323,19 @@ def summarize_slo(lines: List[dict]) -> str:
     return "\n\n".join(sections)
 
 
-def critpath_from_requests(records: List[dict], top: int = 10) -> List[dict]:
-    """Profile records (plus a conservation line) computed from a request log."""
-    paths = extract_paths(records)
-    violations = sum(1 for p in paths if check_conservation(p) != 0.0)
-    profiles = aggregate_profiles(paths)
-    return [
-        {
-            "kind": "critpath_conservation",
-            "requests": len(paths),
-            "violations": violations,
-        }
-    ] + profiles
-
-
-def summarize_critpath(lines: List[dict], top: int = 10) -> str:
-    """Profile + what-if tables from critpath records (log or computed)."""
-    profiles = [r for r in lines if r.get("kind") == "critpath_profile"]
-    whatifs = [r for r in lines if r.get("kind") == "whatif"]
-    conservation = [
-        r for r in lines if r.get("kind") == "critpath_conservation"
+def _critpath_text(critpath: dict) -> str:
+    sections = [
+        f"conservation: {rec.get('requests', 0)} request(s), "
+        f"{rec.get('violations', 0)} violation(s)"
+        for rec in critpath["conservation"]
     ]
-    sections: List[str] = []
-    for rec in conservation:
-        sections.append(
-            f"conservation: {rec.get('requests', 0)} request(s), "
-            f"{rec.get('violations', 0)} violation(s)"
-        )
-    if profiles:
+    if critpath["profiles"]:
         rows = []
-        for prof in profiles:
-            segments: Dict[str, float] = prof.get("segments", {})
+        for prof in critpath["profiles"]:
             total = float(prof.get("total_ms", 0.0)) or 1.0
             breakdown = " ".join(
                 f"{kind}={dur:,.1f}({100.0 * dur / total:.0f}%)"
-                for kind, dur in sorted(
-                    segments.items(), key=lambda kv: -kv[1]
-                )[:3]
+                for kind, dur in prof["ranked_segments"][:3]
             )
             rows.append(
                 [
@@ -583,9 +354,9 @@ def summarize_critpath(lines: List[dict], top: int = 10) -> str:
                 rows,
             )
         )
-    if whatifs:
+    if critpath["whatif"]:
         rows = []
-        for rec in whatifs:
+        for rec in critpath["whatif"]:
             actual = rec.get("actual")
             predicted = float(rec.get("predicted", 0.0))
             delta = (
@@ -619,384 +390,79 @@ def summarize_critpath(lines: List[dict], top: int = 10) -> str:
     return "\n\n".join(sections)
 
 
-# -- machine-readable (--format json) ----------------------------------------
-
-
-def trace_data(trace: dict, top: int = 10) -> dict:
-    """The trace view as plain data (what ``summarize`` prints)."""
-    sim = _sim_spans(trace)
-    wall = _wall_spans(trace)
-    agg: Dict[str, List[float]] = defaultdict(lambda: [0.0, 0])
-    for e in sim:
-        entry = agg[str(e.get("name", "?"))]
-        entry[0] += float(e.get("dur", 0.0))
-        entry[1] += 1
-    return {
-        "sim_spans": len(sim),
-        "wall_spans": len(wall),
-        "dropped": trace.get("otherData", {}).get("dropped_events", 0),
-        "top_sim_spans": [
-            {
-                "name": e.get("name"),
-                "category": e.get("cat"),
-                "tid": e.get("tid"),
-                "start": e.get("ts", 0.0),
-                "cycles": e.get("dur", 0.0),
-            }
-            for e in sorted(
-                sim, key=lambda e: e.get("dur", 0.0), reverse=True
-            )[:top]
-        ],
-        "by_name": [
-            {"name": name, "total_cycles": total, "spans": int(count)}
-            for name, (total, count) in sorted(
-                agg.items(), key=lambda kv: kv[1][0], reverse=True
-            )[:top]
-        ],
-        "wall": [
-            {"name": e.get("name"), "ms": float(e.get("dur", 0.0)) / 1000.0}
-            for e in sorted(
-                wall, key=lambda e: e.get("dur", 0.0), reverse=True
-            )[:top]
-        ],
-    }
-
-
-def fleet_data(trace: dict, top: int = 10) -> dict:
-    """The fleet view as plain data (what ``summarize_fleet`` prints)."""
-    spans = _fleet_spans(trace)
-    requests = [e for e in spans if e.get("cat") == "fleet.request"]
-    attempts = [e for e in spans if e.get("cat") == "fleet.attempt"]
-    routes = [e for e in spans if e.get("cat") == "fleet.route"]
-    outcomes: Dict[str, int] = defaultdict(int)
-    for e in requests:
-        outcomes[str(e.get("args", {}).get("outcome", "?"))] += 1
-    per_node: Dict[int, Dict[str, float]] = defaultdict(
-        lambda: {"attempts": 0, "ok": 0, "failed": 0, "hedges": 0,
-                 "wasted": 0, "ms": 0.0}
-    )
-    for e in attempts:
-        args = e.get("args", {})
-        stats = per_node[int(args.get("node", -1))]
-        stats["attempts"] += 1
-        if args.get("outcome") == "ok":
-            stats["ok"] += 1
-            if args.get("winner") is False:
-                stats["wasted"] += 1
-        else:
-            stats["failed"] += 1
-        if args.get("hedge"):
-            stats["hedges"] += 1
-        stats["ms"] += float(e.get("dur", 0.0))
-    reasons: Dict[str, List[int]] = defaultdict(lambda: [0, 0])
-    for e in routes:
-        args = e.get("args", {})
-        entry = reasons[str(args.get("reason", "?"))]
-        entry[0] += 1
-        if args.get("chosen") is None:
-            entry[1] += 1
-    return {
-        "requests": len(requests),
-        "attempts": len(attempts),
-        "routes": len(routes),
-        "outcomes": dict(outcomes),
-        "per_node": {
-            str(node): stats for node, stats in sorted(per_node.items())
-        },
-        "router": {
-            reason: {"decisions": total, "no_replica": missed}
-            for reason, (total, missed) in sorted(reasons.items())
-        },
-        "slowest": [
-            {
-                "span_id": e.get("args", {}).get("span_id"),
-                "outcome": e.get("args", {}).get("outcome"),
-                "start_ms": float(e.get("ts", 0.0)),
-                "ms": float(e.get("dur", 0.0)),
-            }
-            for e in sorted(
-                requests, key=lambda e: float(e.get("dur", 0.0)), reverse=True
-            )[:top]
-        ],
-    }
-
-
-def requests_data(meta: dict, records: List[dict], top: int = 10) -> dict:
-    """The request-log view as plain data."""
-
-    def span_ms(rec: dict) -> float:
-        if rec.get("latency_ms") is not None:
-            return float(rec["latency_ms"])
-        return float(rec.get("end_ms", 0.0)) - float(rec.get("arrival_ms", 0.0))
-
-    return {
-        "meta": meta,
-        "miss_attribution": miss_attribution(records),
-        "slowest": [
-            {
-                "id": rec.get("id"),
-                "outcome": rec.get("outcome"),
-                "in_system_ms": span_ms(rec),
-                "retries": rec.get("retries", 0),
-                "miss_cause": attribute_miss(rec),
-            }
-            for rec in sorted(records, key=span_ms, reverse=True)[:top]
-        ],
-    }
-
-
-def slo_data(lines: List[dict]) -> dict:
-    """The SLO-log view as plain data."""
-    states: Dict[tuple, List[dict]] = defaultdict(list)
-    alerts: List[dict] = []
-    for rec in lines:
-        if rec.get("kind") == "slo_state":
-            states[
-                (str(rec.get("scenario", "")), str(rec.get("slo", "")))
-            ].append(rec)
-        elif rec.get("kind") == "alert":
-            alerts.append(rec)
-    return {
-        "budgets": [
-            {
-                "scenario": scenario,
-                "slo": slo,
-                "windows": len(series),
-                "min_compliance": min(
-                    float(s.get("compliance", 1.0)) for s in series
-                ),
-                "peak_burn": max(
-                    float(s.get("burn_rate", 0.0)) for s in series
-                ),
-                "budget_final": float(series[-1].get("budget_remaining", 1.0)),
-            }
-            for (scenario, slo), series in sorted(states.items())
-        ],
-        "alerts": [a for a in alerts if a.get("state") == "firing"],
-    }
-
-
-def critpath_data(lines: List[dict]) -> dict:
-    """The critpath view as plain data (profiles + what-if records)."""
-    return {
-        "conservation": [
-            r for r in lines if r.get("kind") == "critpath_conservation"
-        ],
-        "profiles": [r for r in lines if r.get("kind") == "critpath_profile"],
-        "whatif": [r for r in lines if r.get("kind") == "whatif"],
-    }
+def render_text(document: Dict[str, object]) -> str:
+    """Every view of a :func:`repro.obs.view.build` document as text tables."""
+    outputs: List[str] = []
+    if "trace" in document:
+        outputs.append(_trace_text(document["trace"]))  # type: ignore[arg-type]
+        outputs.append(_fleet_text(document["fleet"]))  # type: ignore[arg-type]
+    if "metrics" in document:
+        outputs.append(_metrics_text(document["metrics"], document["cpi"]))  # type: ignore[arg-type]
+    if "requests" in document:
+        outputs.append(_requests_text(document["requests"]))  # type: ignore[arg-type]
+        outputs.append(_critpath_text(document["critpath"]))  # type: ignore[arg-type]
+    if "slo" in document:
+        outputs.append(_slo_text(document["slo"]))  # type: ignore[arg-type]
+    if "critpath_log" in document:
+        outputs.append(_critpath_text(document["critpath_log"]))  # type: ignore[arg-type]
+    return "\n\n".join(outputs)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI main; returns a process exit code."""
     parser = argparse.ArgumentParser(
         prog="trace_report",
-        description="Summarize repro.obs traces, metrics, and request logs.",
+        description="Summarize an observation directory (repro-experiment --obs DIR).",
     )
     parser.add_argument(
-        "trace", type=Path, nargs="?", default=None,
-        help="Chrome-trace JSON from --trace (optional with --requests)",
-    )
-    parser.add_argument(
-        "--metrics", type=Path, default=None, help="metrics JSONL from --metrics"
-    )
-    parser.add_argument(
-        "--requests", type=Path, default=None, metavar="FILE",
-        help="request-log JSONL from --request-log: print slowest-N "
-        "timelines and the SLA-miss attribution table",
-    )
-    parser.add_argument(
-        "--slo", type=Path, default=None, metavar="FILE",
-        help="SLO log JSONL from --slo-log: print per-SLO budget/alert "
-        "summaries (with --validate, check every line against "
-        "$defs.slo_state / $defs.alert_event)",
-    )
-    parser.add_argument(
-        "--fleet", action="store_true",
-        help="also print the fleet view of a cluster trace: per-node "
-        "attempt/outcome tables, router decision counts, and the "
-        "slowest request span envelopes",
-    )
-    parser.add_argument(
-        "--critpath", action="store_true",
-        help="with --requests: extract every request's critical path, "
-        "check the conservation invariant, and print the per-scope "
-        "attribution profiles",
-    )
-    parser.add_argument(
-        "--critpath-log", type=Path, default=None, metavar="FILE",
-        help="critpath log JSONL from --critpath-log: print the "
-        "attribution profiles and what-if prediction table (with "
-        "--validate, check every line against $defs.critpath_record / "
-        "$defs.whatif_record)",
+        "obs_dir", type=Path, metavar="DIR",
+        help="observation directory written by repro-experiment --obs",
     )
     parser.add_argument(
         "--top", type=int, default=10, metavar="N", help="rows per table (default 10)"
     )
     parser.add_argument(
         "--format", choices=("text", "json"), default="text",
-        help="output format: human tables (text, default) or one "
-        "machine-readable JSON document covering every requested view",
+        help="output format: human tables (text, default) or the view "
+        "document as one machine-readable JSON document",
     )
     parser.add_argument(
         "--validate", action="store_true",
-        help=f"validate artifacts against {SCHEMA_PATH.name}; exit 1 on violations",
+        help=f"validate every stream against {SCHEMA_PATH.name}; exit 1 on violations",
     )
     args = parser.parse_args(argv)
-    if (
-        args.trace is None
-        and args.requests is None
-        and args.slo is None
-        and args.critpath_log is None
-    ):
+    streams = sink.read(args.obs_dir)
+    if not streams:
         parser.error(
-            "give a trace file, --requests FILE, --slo FILE, "
-            "--critpath-log FILE, or any mix"
+            f"{args.obs_dir}: no observation streams (expected any of "
+            + ", ".join(s.filename for s in sink.LAYOUT)
+            + ")"
         )
-    if args.critpath and args.requests is None:
-        parser.error("--critpath needs --requests FILE")
-
-    schema = json.loads(SCHEMA_PATH.read_text()) if args.validate else None
     as_json = args.format == "json"
-    outputs: List[str] = []
-    document: Dict[str, object] = {}
 
-    if args.trace is not None:
-        trace = load_trace(args.trace)
-        if schema is not None:
-            errors = validate(trace, schema)
+    if args.validate:
+        schema = json.loads(SCHEMA_PATH.read_text())
+        for stream in sink.LAYOUT:
+            if stream.name not in streams:
+                continue
+            errors = sink.violations(stream, streams[stream.name], schema)
+            if errors is None:
+                continue
+            path = sink.stream_path(args.obs_dir, stream.name)
             if errors:
-                print(
-                    f"{args.trace}: {len(errors)} schema violation(s):",
-                    file=sys.stderr,
-                )
+                print(f"{path}: {len(errors)} schema violation(s):", file=sys.stderr)
                 for err in errors[:20]:
                     print(f"  {err}", file=sys.stderr)
                 return 1
             # In json mode diagnostics go to stderr so stdout stays one
             # parseable document.
-            print(
-                f"{args.trace}: schema OK",
-                file=sys.stderr if as_json else sys.stdout,
-            )
-        if as_json:
-            document["trace"] = trace_data(trace, top=args.top)
-            if args.fleet:
-                document["fleet"] = fleet_data(trace, top=args.top)
-        else:
-            outputs.append(summarize(trace, top=args.top))
-            if args.fleet:
-                outputs.append(summarize_fleet(trace, top=args.top))
-        if args.metrics is not None:
-            metrics = load_metrics(args.metrics)
-            if as_json:
-                document["metrics"] = metrics
-            else:
-                outputs.append(summarize_metrics(metrics))
+            print(f"{path}: schema OK", file=sys.stderr if as_json else sys.stdout)
 
-    if args.requests is not None:
-        meta, records = load_request_log(args.requests)
-        if schema is not None:
-            errors = []
-            for i, rec in enumerate(records):
-                for err in validate_def(rec, schema, "request_event"):
-                    errors.append(f"line {i + 2}: {err}")
-            if errors:
-                print(
-                    f"{args.requests}: {len(errors)} schema violation(s):",
-                    file=sys.stderr,
-                )
-                for err in errors[:20]:
-                    print(f"  {err}", file=sys.stderr)
-                return 1
-            print(
-                f"{args.requests}: schema OK",
-                file=sys.stderr if as_json else sys.stdout,
-            )
-        if as_json:
-            document["requests"] = requests_data(meta, records, top=args.top)
-        else:
-            outputs.append(summarize_requests(meta, records, top=args.top))
-        if args.critpath:
-            critpath_lines = critpath_from_requests(records, top=args.top)
-            if as_json:
-                document["critpath"] = critpath_data(critpath_lines)
-            else:
-                outputs.append(summarize_critpath(critpath_lines, top=args.top))
-
-    if args.slo is not None:
-        lines = []
-        with open(args.slo) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    lines.append(json.loads(line))
-        if schema is not None:
-            errors = []
-            defs = {"slo_state": "slo_state", "alert": "alert_event"}
-            for i, rec in enumerate(lines):
-                def_name = defs.get(str(rec.get("kind")))
-                if def_name is None:
-                    continue  # meta/unknown lines are out of contract
-                for err in validate_def(rec, schema, def_name):
-                    errors.append(f"line {i + 1}: {err}")
-            if errors:
-                print(
-                    f"{args.slo}: {len(errors)} schema violation(s):",
-                    file=sys.stderr,
-                )
-                for err in errors[:20]:
-                    print(f"  {err}", file=sys.stderr)
-                return 1
-            print(
-                f"{args.slo}: schema OK",
-                file=sys.stderr if as_json else sys.stdout,
-            )
-        if as_json:
-            document["slo"] = slo_data(lines)
-        else:
-            outputs.append(summarize_slo(lines))
-
-    if args.critpath_log is not None:
-        lines = []
-        with open(args.critpath_log) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    lines.append(json.loads(line))
-        if schema is not None:
-            errors = []
-            defs = {
-                "critpath_profile": "critpath_record",
-                "whatif": "whatif_record",
-            }
-            for i, rec in enumerate(lines):
-                def_name = defs.get(str(rec.get("kind")))
-                if def_name is None:
-                    continue  # meta/unknown lines are out of contract
-                for err in validate_def(rec, schema, def_name):
-                    errors.append(f"line {i + 1}: {err}")
-            if errors:
-                print(
-                    f"{args.critpath_log}: {len(errors)} schema violation(s):",
-                    file=sys.stderr,
-                )
-                for err in errors[:20]:
-                    print(f"  {err}", file=sys.stderr)
-                return 1
-            print(
-                f"{args.critpath_log}: schema OK",
-                file=sys.stderr if as_json else sys.stdout,
-            )
-        if as_json:
-            document["critpath_log"] = critpath_data(lines)
-        else:
-            outputs.append(summarize_critpath(lines, top=args.top))
-
+    document = view.build(streams, top=args.top)
     if as_json:
         print(json.dumps(document, indent=2, sort_keys=True))
     else:
-        print("\n\n".join(outputs))
+        print(render_text(document))
     return 0
 
 
